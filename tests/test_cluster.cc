@@ -284,6 +284,152 @@ const char kChain2TcpSeed5[] =
     "hop1.hopThrottleDrops=0\n"
     "hop1.hopGrantExpired=0\n";
 
+/** collectMetrics() counters of the 3-hop rate-scheme chain above. */
+const char kChain3UdpRateSeed42Metrics[] =
+    "faults.connectsRefused 0\n"
+    "faults.delayed 0\n"
+    "faults.duplicated 0\n"
+    "faults.lost 0\n"
+    "faults.offered 0\n"
+    "faults.partitionDrops 0\n"
+    "faults.partitionHeld 0\n"
+    "faults.recoveries 0\n"
+    "faults.reordered 0\n"
+    "faults.rstsInjected 0\n"
+    "faults.stalledDrops 0\n"
+    "net.batch.recvCalls 0\n"
+    "net.batch.recvMaxDepth 0\n"
+    "net.batch.recvMessages 0\n"
+    "net.batch.sendCalls 0\n"
+    "net.batch.sendMaxDepth 0\n"
+    "net.batch.sendMessages 0\n"
+    "net.faultDelayed 0\n"
+    "net.faultDropped 0\n"
+    "net.faultDuplicated 0\n"
+    "net.sctpAssocs 0\n"
+    "net.sctpDropped 0\n"
+    "net.sctpMessages 0\n"
+    "net.sstChannels 0\n"
+    "net.sstDropped 0\n"
+    "net.sstFrames 0\n"
+    "net.sstLost 0\n"
+    "net.sstMessages 0\n"
+    "net.sstStreams 0\n"
+    "net.tcpBlackholed 0\n"
+    "net.tcpBytes 0\n"
+    "net.tcpConnects 0\n"
+    "net.tcpFaultRefused 0\n"
+    "net.tcpRecoveries 0\n"
+    "net.tcpRefused 0\n"
+    "net.tcpRstInjected 0\n"
+    "net.tcpSegments 0\n"
+    "net.tlsConnects 0\n"
+    "net.tlsHandshakeAborts 0\n"
+    "net.tlsHandshakesFull 0\n"
+    "net.tlsHandshakesResumed 0\n"
+    "net.tlsRecords 0\n"
+    "net.tlsSessionEvictions 0\n"
+    "net.tlsZeroRttResumes 0\n"
+    "net.udpDelivered 340\n"
+    "net.udpDropped 0\n"
+    "net.udpLost 0\n"
+    "net.udpSent 340\n"
+    "phone.backoffs 0\n"
+    "phone.callsCompleted 12\n"
+    "phone.callsFailed 0\n"
+    "phone.ops 24\n"
+    "phone.reconnectFailures 0\n"
+    "phone.reconnects 0\n"
+    "phone.rejected503 0\n"
+    "phone.retransmissions 0\n"
+    "proxy.acceptRefused 0\n"
+    "proxy.arch.connsStolen 0\n"
+    "proxy.arch.kind 2\n"
+    "proxy.arch.loops 4\n"
+    "proxy.authAccepted 0\n"
+    "proxy.authChallenges 0\n"
+    "proxy.chainHops 3\n"
+    "proxy.connEntriesAtEnd 0\n"
+    "proxy.connsAccepted 0\n"
+    "proxy.connsDestroyed 0\n"
+    "proxy.connsReturnedByWorkers 0\n"
+    "proxy.fdCacheHits 0\n"
+    "proxy.fdCacheInvalidations 0\n"
+    "proxy.fdRequests 0\n"
+    "proxy.forwards 216\n"
+    "proxy.hop0.forwards 72\n"
+    "proxy.hop0.hopFeedbackApplied 48\n"
+    "proxy.hop0.hopFeedbackSent 52\n"
+    "proxy.hop0.hopGrantExpired 0\n"
+    "proxy.hop0.hopThrottleDrops 0\n"
+    "proxy.hop0.hopThrottleHolds 0\n"
+    "proxy.hop0.hopThrottleRejects 0\n"
+    "proxy.hop0.localReplies 16\n"
+    "proxy.hop0.messagesIn 88\n"
+    "proxy.hop0.overloadPanicDrops 0\n"
+    "proxy.hop0.overloadRejected 0\n"
+    "proxy.hop0.overloadThrottled 0\n"
+    "proxy.hop1.forwards 72\n"
+    "proxy.hop1.hopFeedbackApplied 48\n"
+    "proxy.hop1.hopFeedbackSent 48\n"
+    "proxy.hop1.hopGrantExpired 0\n"
+    "proxy.hop1.hopThrottleDrops 0\n"
+    "proxy.hop1.hopThrottleHolds 0\n"
+    "proxy.hop1.hopThrottleRejects 0\n"
+    "proxy.hop1.localReplies 12\n"
+    "proxy.hop1.messagesIn 84\n"
+    "proxy.hop1.overloadPanicDrops 0\n"
+    "proxy.hop1.overloadRejected 0\n"
+    "proxy.hop1.overloadThrottled 0\n"
+    "proxy.hop2.forwards 72\n"
+    "proxy.hop2.hopFeedbackApplied 0\n"
+    "proxy.hop2.hopFeedbackSent 52\n"
+    "proxy.hop2.hopGrantExpired 0\n"
+    "proxy.hop2.hopThrottleDrops 0\n"
+    "proxy.hop2.hopThrottleHolds 0\n"
+    "proxy.hop2.hopThrottleRejects 0\n"
+    "proxy.hop2.localReplies 16\n"
+    "proxy.hop2.messagesIn 76\n"
+    "proxy.hop2.overloadPanicDrops 0\n"
+    "proxy.hop2.overloadRejected 0\n"
+    "proxy.hop2.overloadThrottled 0\n"
+    "proxy.hopFeedbackApplied 96\n"
+    "proxy.hopFeedbackSent 152\n"
+    "proxy.hopGrantExpired 0\n"
+    "proxy.hopThrottleDrops 0\n"
+    "proxy.hopThrottleHolds 0\n"
+    "proxy.hopThrottleRejects 0\n"
+    "proxy.idleScanVisited 0\n"
+    "proxy.idleScans 0\n"
+    "proxy.localReplies 44\n"
+    "proxy.messagesIn 248\n"
+    "proxy.outboundConnects 0\n"
+    "proxy.overloadPanicDrops 0\n"
+    "proxy.overloadRejected 0\n"
+    "proxy.overloadShedEnters 0\n"
+    "proxy.overloadShedExits 0\n"
+    "proxy.overloadThrottled 0\n"
+    "proxy.parseErrors 0\n"
+    "proxy.recvQueueDrops 0\n"
+    "proxy.redirects 0\n"
+    "proxy.registrations 8\n"
+    "proxy.requestsIn 116\n"
+    "proxy.responsesIn 132\n"
+    "proxy.retransAbsorbed 0\n"
+    "proxy.retransEntriesAtEnd 0\n"
+    "proxy.retransSent 0\n"
+    "proxy.retransTimeouts 0\n"
+    "proxy.routeFailures 0\n"
+    "proxy.sendsToDeadConns 0\n"
+    "proxy.tcpAcceptPauses 0\n"
+    "proxy.tcpReadPauses 0\n"
+    "proxy.tcpReadResumes 0\n"
+    "proxy.timerB408s 0\n"
+    "proxy.txnEntriesAtEnd 144\n"
+    "run.durationNs 4533502\n"
+    "run.occupancySamples 0\n"
+    "run.timedOut 0\n";
+
 /** The exact scenario recipe the goldens were captured with. */
 Scenario
 goldenScenario(core::Transport transport, std::size_t hops)
@@ -344,6 +490,16 @@ TEST(Topology, SingleProxyAndChainDigestsUnchangedByTopology)
         sc.seed = 5;
         EXPECT_EQ(runScenario(sc).digest(), kChain2TcpSeed5);
     }
+}
+
+TEST(Topology, ChainMetricsGolden)
+{
+    Scenario sc = goldenScenario(core::Transport::Udp, 3);
+    sc.seed = 42;
+    sc.proxy.overload.hop.scheme = core::FeedbackScheme::Rate;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(collectMetrics(r).snapshot().digest(),
+              kChain3UdpRateSeed42Metrics);
 }
 
 TEST(Topology, DigestHasNoClusterGroupWhenClusterUnset)

@@ -1,12 +1,18 @@
 /**
  * @file
- * Golden determinism digests. These two scenarios were captured before
- * the zero-copy message / pooled event-queue rework and pin the
+ * Golden determinism digests. The four paper scenarios were captured
+ * before the zero-copy message / pooled event-queue rework and pin the
  * simulation's observable behaviour byte-for-byte: any change to event
  * ordering, wire bytes (tcpBytes/tcpSegments are byte-exact), timing,
  * or counter accounting shows up here as a diff. Performance work must
  * keep these digests identical; a deliberate semantic change must
  * re-record them in the same commit that explains why.
+ *
+ * The cluster, batched and lossy goldens pin the conditional digest
+ * groups the paper scenarios never reach (dispatcher, location-service
+ * and per-instance lines; batched-I/O lines; fault counters plus the
+ * per-link FaultStats rows), and the metrics golden pins the counter
+ * names and values collectMetrics() exports for the cluster run.
  */
 
 #include <gtest/gtest.h>
@@ -273,6 +279,378 @@ const char kSstSeed17Golden[] = "ops=144\n"
                                 "sstDropped=0\n"
                                 "sstLost=0\n";
 
+const char kClusterUdpSeed11Golden[] =
+    "ops=128\n"
+    "callsCompleted=64\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=4905049\n"
+    "inviteP50=589823\n"
+    "inviteP99=786431\n"
+    "timedOut=0\n"
+    "messagesIn=416\n"
+    "requestsIn=224\n"
+    "responsesIn=192\n"
+    "forwards=384\n"
+    "localReplies=96\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=32\n"
+    "connsAccepted=0\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=1440\n"
+    "udpDelivered=1440\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=0\n"
+    "tcpRefused=0\n"
+    "tcpSegments=0\n"
+    "tcpBytes=0\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=256\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n"
+    "clusterInstances=2\n"
+    "dispMessagesIn=512\n"
+    "dispRequestsRouted=224\n"
+    "dispResponsesRouted=288\n"
+    "dispRegistersRouted=32\n"
+    "dispPeekFailures=0\n"
+    "dispDropsNoRoute=0\n"
+    "dispClientConnsAccepted=0\n"
+    "locLocalHits=192\n"
+    "locReplicaHits=0\n"
+    "locMissForwards=0\n"
+    "locRegisterForwards=0\n"
+    "locReplPushes=32\n"
+    "locReplInstalls=32\n"
+    "inst0.messagesIn=230\n"
+    "inst0.forwards=216\n"
+    "inst0.localReplies=50\n"
+    "inst0.registrations=14\n"
+    "inst0.locLocalHits=108\n"
+    "inst0.locReplicaHits=0\n"
+    "inst0.locMissForwards=0\n"
+    "inst0.locReplPushes=14\n"
+    "inst0.locReplInstalls=18\n"
+    "inst0.dispatched=122\n"
+    "inst1.messagesIn=186\n"
+    "inst1.forwards=168\n"
+    "inst1.localReplies=46\n"
+    "inst1.registrations=18\n"
+    "inst1.locLocalHits=84\n"
+    "inst1.locReplicaHits=0\n"
+    "inst1.locMissForwards=0\n"
+    "inst1.locReplPushes=18\n"
+    "inst1.locReplInstalls=14\n"
+    "inst1.dispatched=102\n";
+
+const char kBatchUdpSeed7Golden[] =
+    "ops=400\n"
+    "callsCompleted=200\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=10932026\n"
+    "inviteP50=557055\n"
+    "inviteP99=851967\n"
+    "timedOut=0\n"
+    "messagesIn=1240\n"
+    "requestsIn=640\n"
+    "responsesIn=600\n"
+    "forwards=1200\n"
+    "localReplies=240\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=40\n"
+    "connsAccepted=0\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=2680\n"
+    "udpDelivered=2680\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=0\n"
+    "tcpRefused=0\n"
+    "tcpSegments=0\n"
+    "tcpBytes=0\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=800\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n"
+    "batchRecvCalls=1216\n"
+    "batchRecvMsgs=1240\n"
+    "batchRecvMaxDepth=6\n"
+    "batchSendCalls=1216\n"
+    "batchSendMsgs=1440\n"
+    "batchSendMaxDepth=6\n";
+
+const char kLossyUdpSeed19Golden[] =
+    "ops=142\n"
+    "callsCompleted=70\n"
+    "callsFailed=2\n"
+    "phoneRetransmissions=86\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=13898869109\n"
+    "inviteP50=5505023\n"
+    "inviteP99=2147483647\n"
+    "timedOut=0\n"
+    "messagesIn=524\n"
+    "requestsIn=279\n"
+    "responsesIn=245\n"
+    "forwards=467\n"
+    "localReplies=103\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=28\n"
+    "retransSent=42\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=29\n"
+    "connsAccepted=0\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=1162\n"
+    "udpDelivered=1111\n"
+    "udpLost=117\n"
+    "udpDropped=0\n"
+    "tcpConnects=0\n"
+    "tcpRefused=0\n"
+    "tcpSegments=0\n"
+    "tcpBytes=0\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=117\n"
+    "faultDuplicated=66\n"
+    "faultDelayed=1045\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=5\n"
+    "retransEntriesAtEnd=3\n"
+    "connEntriesAtEnd=0\n"
+    "1>2 205 29 12 0 176 0 0 0 0 0 0\n"
+    "1>3 210 20 17 0 190 0 0 0 0 0 0\n"
+    "1>4 203 21 10 0 182 0 0 0 0 0 0\n"
+    "2>1 183 18 8 0 165 0 0 0 0 0 0\n"
+    "3>1 182 12 8 0 170 0 0 0 0 0 0\n"
+    "4>1 179 17 11 0 162 0 0 0 0 0 0\n";
+
+const char kClusterUdpSeed11Metrics[] =
+    "cluster.instances 2\n"
+    "dispatcher.clientConnsAccepted 0\n"
+    "dispatcher.dropsNoRoute 0\n"
+    "dispatcher.messagesIn 512\n"
+    "dispatcher.peekFailures 0\n"
+    "dispatcher.registersRouted 32\n"
+    "dispatcher.requestsRouted 224\n"
+    "dispatcher.responsesRouted 288\n"
+    "faults.connectsRefused 0\n"
+    "faults.delayed 0\n"
+    "faults.duplicated 0\n"
+    "faults.lost 0\n"
+    "faults.offered 0\n"
+    "faults.partitionDrops 0\n"
+    "faults.partitionHeld 0\n"
+    "faults.recoveries 0\n"
+    "faults.reordered 0\n"
+    "faults.rstsInjected 0\n"
+    "faults.stalledDrops 0\n"
+    "net.batch.recvCalls 0\n"
+    "net.batch.recvMaxDepth 0\n"
+    "net.batch.recvMessages 0\n"
+    "net.batch.sendCalls 0\n"
+    "net.batch.sendMaxDepth 0\n"
+    "net.batch.sendMessages 0\n"
+    "net.faultDelayed 0\n"
+    "net.faultDropped 0\n"
+    "net.faultDuplicated 0\n"
+    "net.sctpAssocs 0\n"
+    "net.sctpDropped 0\n"
+    "net.sctpMessages 0\n"
+    "net.sstChannels 0\n"
+    "net.sstDropped 0\n"
+    "net.sstFrames 0\n"
+    "net.sstLost 0\n"
+    "net.sstMessages 0\n"
+    "net.sstStreams 0\n"
+    "net.tcpBlackholed 0\n"
+    "net.tcpBytes 0\n"
+    "net.tcpConnects 0\n"
+    "net.tcpFaultRefused 0\n"
+    "net.tcpRecoveries 0\n"
+    "net.tcpRefused 0\n"
+    "net.tcpRstInjected 0\n"
+    "net.tcpSegments 0\n"
+    "net.tlsConnects 0\n"
+    "net.tlsHandshakeAborts 0\n"
+    "net.tlsHandshakesFull 0\n"
+    "net.tlsHandshakesResumed 0\n"
+    "net.tlsRecords 0\n"
+    "net.tlsSessionEvictions 0\n"
+    "net.tlsZeroRttResumes 0\n"
+    "net.udpDelivered 1440\n"
+    "net.udpDropped 0\n"
+    "net.udpLost 0\n"
+    "net.udpSent 1440\n"
+    "phone.backoffs 0\n"
+    "phone.callsCompleted 64\n"
+    "phone.callsFailed 0\n"
+    "phone.ops 128\n"
+    "phone.reconnectFailures 0\n"
+    "phone.reconnects 0\n"
+    "phone.rejected503 0\n"
+    "phone.retransmissions 0\n"
+    "proxy.0.dispatched 122\n"
+    "proxy.0.forwards 216\n"
+    "proxy.0.locLocalHits 108\n"
+    "proxy.0.locMissForwards 0\n"
+    "proxy.0.locReplInstalls 18\n"
+    "proxy.0.locReplPushes 14\n"
+    "proxy.0.locReplicaHits 0\n"
+    "proxy.0.localReplies 50\n"
+    "proxy.0.messagesIn 230\n"
+    "proxy.0.registrations 14\n"
+    "proxy.1.dispatched 102\n"
+    "proxy.1.forwards 168\n"
+    "proxy.1.locLocalHits 84\n"
+    "proxy.1.locMissForwards 0\n"
+    "proxy.1.locReplInstalls 14\n"
+    "proxy.1.locReplPushes 18\n"
+    "proxy.1.locReplicaHits 0\n"
+    "proxy.1.localReplies 46\n"
+    "proxy.1.messagesIn 186\n"
+    "proxy.1.registrations 18\n"
+    "proxy.acceptRefused 0\n"
+    "proxy.arch.connsStolen 0\n"
+    "proxy.arch.kind 2\n"
+    "proxy.arch.loops 24\n"
+    "proxy.authAccepted 0\n"
+    "proxy.authChallenges 0\n"
+    "proxy.chainHops 0\n"
+    "proxy.connEntriesAtEnd 0\n"
+    "proxy.connsAccepted 0\n"
+    "proxy.connsDestroyed 0\n"
+    "proxy.connsReturnedByWorkers 0\n"
+    "proxy.fdCacheHits 0\n"
+    "proxy.fdCacheInvalidations 0\n"
+    "proxy.fdRequests 0\n"
+    "proxy.forwards 384\n"
+    "proxy.hopFeedbackApplied 0\n"
+    "proxy.hopFeedbackSent 0\n"
+    "proxy.hopGrantExpired 0\n"
+    "proxy.hopThrottleDrops 0\n"
+    "proxy.hopThrottleHolds 0\n"
+    "proxy.hopThrottleRejects 0\n"
+    "proxy.idleScanVisited 0\n"
+    "proxy.idleScans 0\n"
+    "proxy.locLocalHits 192\n"
+    "proxy.locMissForwards 0\n"
+    "proxy.locRegisterForwards 0\n"
+    "proxy.locReplInstalls 32\n"
+    "proxy.locReplPushes 32\n"
+    "proxy.locReplicaHits 0\n"
+    "proxy.localReplies 96\n"
+    "proxy.messagesIn 416\n"
+    "proxy.outboundConnects 0\n"
+    "proxy.overloadPanicDrops 0\n"
+    "proxy.overloadRejected 0\n"
+    "proxy.overloadShedEnters 0\n"
+    "proxy.overloadShedExits 0\n"
+    "proxy.overloadThrottled 0\n"
+    "proxy.parseErrors 0\n"
+    "proxy.recvQueueDrops 0\n"
+    "proxy.redirects 0\n"
+    "proxy.registrations 32\n"
+    "proxy.requestsIn 224\n"
+    "proxy.responsesIn 192\n"
+    "proxy.retransAbsorbed 0\n"
+    "proxy.retransEntriesAtEnd 0\n"
+    "proxy.retransSent 0\n"
+    "proxy.retransTimeouts 0\n"
+    "proxy.routeFailures 0\n"
+    "proxy.sendsToDeadConns 0\n"
+    "proxy.tcpAcceptPauses 0\n"
+    "proxy.tcpReadPauses 0\n"
+    "proxy.tcpReadResumes 0\n"
+    "proxy.timerB408s 0\n"
+    "proxy.txnEntriesAtEnd 256\n"
+    "run.durationNs 4905049\n"
+    "run.occupancySamples 0\n"
+    "run.timedOut 0\n";
+
 TEST(DigestGolden, UdpPaperScenarioSeed7)
 {
     Scenario sc = paperScenario(core::Transport::Udp, 20, 0);
@@ -309,6 +687,64 @@ TEST(DigestGolden, SstPaperScenarioSeed17)
     sc.seed = 17;
     RunResult r = runScenario(sc);
     EXPECT_EQ(r.digest(), kSstSeed17Golden);
+}
+
+/** 2-instance hash-AOR UDP cluster over a pre-seeded AOR population. */
+Scenario
+clusterScenario()
+{
+    Scenario sc;
+    sc.proxy.transport = core::Transport::Udp;
+    sc.proxy.stateful = true;
+    sc.clients = 16;
+    sc.callsPerClient = 4;
+    sc.clientMachines = 2;
+    sc.serverCores = 2;
+    sc.seed = 11;
+    sc.maxDuration = sim::secs(120);
+    sc.cluster.instances = 2;
+    sc.cluster.policy = core::DispatchPolicy::HashAor;
+    sc.cluster.aorPopulation = 1000;
+    return sc;
+}
+
+TEST(DigestGolden, ClusterHashAorUdpSeed11)
+{
+    EXPECT_EQ(runScenario(clusterScenario()).digest(),
+              kClusterUdpSeed11Golden);
+}
+
+TEST(DigestGolden, BatchedUdpSeed7)
+{
+    Scenario sc = paperScenario(core::Transport::Udp, 20, 0);
+    sc.callsPerClient = 10;
+    sc.seed = 7;
+    sc.net.batchMax = 8;
+    EXPECT_EQ(runScenario(sc).digest(), kBatchUdpSeed7Golden);
+}
+
+TEST(DigestGolden, LossyUdpSeed19)
+{
+    // Loss, duplication and jitter on every client link: pins the
+    // retransmission counters, the net fault aggregates, and the
+    // per-link FaultStats rows appended after them.
+    Scenario sc = paperScenario(core::Transport::Udp, 12, 0);
+    sc.callsPerClient = 6;
+    sc.seed = 19;
+    sc.phoneResponseTimeout = sim::secs(10);
+    LinkFault lf;
+    lf.imp.lossProb = 0.1;
+    lf.imp.dupProb = 0.05;
+    lf.imp.jitter = sim::msecs(2);
+    sc.linkFaults.push_back(lf);
+    EXPECT_EQ(runScenario(sc).digest(), kLossyUdpSeed19Golden);
+}
+
+TEST(MetricsGolden, ClusterHashAorUdpSeed11)
+{
+    RunResult r = runScenario(clusterScenario());
+    EXPECT_EQ(collectMetrics(r).snapshot().digest(),
+              kClusterUdpSeed11Metrics);
 }
 
 TEST(DigestGolden, RepeatRunsAreByteIdentical)
