@@ -18,7 +18,8 @@
 
 namespace siprox::core {
 
-/** Aggregate proxy counters (monotonic; read by tests and benches). */
+/** Aggregate proxy counters (monotonic; read by tests and benches).
+ *  Every field needs a row in workload/counters.cc's table. */
 struct ProxyCounters
 {
     std::uint64_t messagesIn = 0;
@@ -72,58 +73,6 @@ struct ProxyCounters
     std::uint64_t locRegisterForwards = 0; ///< REGISTERs at a non-owner
     std::uint64_t locReplPushes = 0;   ///< binding writes replicated out
     std::uint64_t locReplInstalls = 0; ///< replica bindings installed
-
-    /** Field-wise accumulate (chain runs sum counters across hops). */
-    void
-    add(const ProxyCounters &o)
-    {
-        messagesIn += o.messagesIn;
-        requestsIn += o.requestsIn;
-        responsesIn += o.responsesIn;
-        forwards += o.forwards;
-        localReplies += o.localReplies;
-        parseErrors += o.parseErrors;
-        routeFailures += o.routeFailures;
-        retransAbsorbed += o.retransAbsorbed;
-        retransSent += o.retransSent;
-        retransTimeouts += o.retransTimeouts;
-        timerB408s += o.timerB408s;
-        registrations += o.registrations;
-        authChallenges += o.authChallenges;
-        authAccepted += o.authAccepted;
-        redirects += o.redirects;
-        connsAccepted += o.connsAccepted;
-        connsDestroyed += o.connsDestroyed;
-        fdRequests += o.fdRequests;
-        fdCacheHits += o.fdCacheHits;
-        fdCacheInvalidations += o.fdCacheInvalidations;
-        outboundConnects += o.outboundConnects;
-        sendsToDeadConns += o.sendsToDeadConns;
-        idleScans += o.idleScans;
-        idleScanVisited += o.idleScanVisited;
-        connsReturnedByWorkers += o.connsReturnedByWorkers;
-        connsStolen += o.connsStolen;
-        overloadRejected += o.overloadRejected;
-        overloadThrottled += o.overloadThrottled;
-        overloadPanicDrops += o.overloadPanicDrops;
-        overloadShedEnters += o.overloadShedEnters;
-        overloadShedExits += o.overloadShedExits;
-        tcpReadPauses += o.tcpReadPauses;
-        tcpReadResumes += o.tcpReadResumes;
-        tcpAcceptPauses += o.tcpAcceptPauses;
-        hopFeedbackSent += o.hopFeedbackSent;
-        hopFeedbackApplied += o.hopFeedbackApplied;
-        hopThrottleHolds += o.hopThrottleHolds;
-        hopThrottleRejects += o.hopThrottleRejects;
-        hopThrottleDrops += o.hopThrottleDrops;
-        hopGrantExpired += o.hopGrantExpired;
-        locLocalHits += o.locLocalHits;
-        locReplicaHits += o.locReplicaHits;
-        locMissForwards += o.locMissForwards;
-        locRegisterForwards += o.locRegisterForwards;
-        locReplPushes += o.locReplPushes;
-        locReplInstalls += o.locReplInstalls;
-    }
 };
 
 /** Everything in the proxy's shared memory. */

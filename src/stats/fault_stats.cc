@@ -1,17 +1,13 @@
 #include "stats/fault_stats.hh"
 
+#include "stats/fields.hh"
+
 namespace siprox::stats {
 
 namespace {
 
 /** Field list shared by table() and digest() so they never diverge. */
-struct Field
-{
-    const char *name;
-    std::uint64_t LinkFaultCounters::*member;
-};
-
-constexpr Field kFields[] = {
+constexpr Field<LinkFaultCounters> kFields[] = {
     {"offered", &LinkFaultCounters::offered},
     {"lost", &LinkFaultCounters::lost},
     {"dup", &LinkFaultCounters::duplicated},
@@ -24,6 +20,7 @@ constexpr Field kFields[] = {
     {"stalled", &LinkFaultCounters::stalledDrops},
     {"recovered", &LinkFaultCounters::recoveries},
 };
+static_assert(coversEveryField(kFields));
 
 } // namespace
 

@@ -5,11 +5,8 @@
 #include <memory>
 #include <stdexcept>
 
-#include <functional>
-
 #include "core/proxy.hh"
 #include "net/network.hh"
-#include "workload/topology.hh"
 #include "phone/phone.hh"
 #include "sim/mem_stats.hh"
 #include "sim/simulation.hh"
@@ -17,6 +14,8 @@
 #include "sim/trace.hh"
 #include "stats/histogram.hh"
 #include "stats/timeseries.hh"
+#include "workload/counters.hh"
+#include "workload/topology.hh"
 
 namespace siprox::workload {
 
@@ -97,34 +96,6 @@ samplerMain(sim::Process &p, Phases *phases, core::Proxy *proxy,
     }
 }
 
-/**
- * Windowed-telemetry sampler: cuts a window at every multiple of the
- * window width from t=0 (registration included — the warmup phase is
- * part of the story). The final, partial window is flushed
- * synchronously by runScenario at the exact point it reads the run's
- * end-of-run counters, so per-window deltas sum to the RunResult
- * totals.
- */
-sim::Task
-telemetryMain(sim::Process &p, Phases *phases, sim::SimTime window,
-              const std::function<void(sim::SimTime)> *boundary)
-{
-    sim::SimTime next = window;
-    for (;;) {
-        sim::SimTime now = p.sim().now();
-        if (now < next)
-            co_await p.sleepFor(next - now);
-        // Once the measured phase is over, everything after this
-        // boundary (the settle tail) belongs to the final window that
-        // runScenario flushes synchronously — stop ticking so the run
-        // loop's coast to its next check produces no empty windows.
-        if (phases->finished)
-            co_return;
-        (*boundary)(p.sim().now());
-        next += window;
-    }
-}
-
 /** Per-hop serve-latency accumulator fed by the overload controller's
  *  served sink: a histogram over the current window (reset at each
  *  boundary) plus the run-cumulative served count. */
@@ -173,6 +144,488 @@ sampleMachine(stats::Series &s, sim::Machine &m, const net::Host &h)
             }
         }
     }
+}
+
+/** A forEachCounter sink feeding series @p s. */
+auto
+into(stats::Series &s)
+{
+    return [&s](std::string_view name, std::uint64_t v) {
+        s.counter(name, v);
+    };
+}
+
+using Phones = std::vector<std::unique_ptr<phone::Phone>>;
+
+/**
+ * One scenario's simulated world: the server topology, client machines,
+ * phones, and the manager process. Built in a fixed order — event
+ * interleavings, and so every pinned digest, depend on it.
+ */
+struct World
+{
+    explicit World(const Scenario &scenario);
+
+    const Scenario &sc;
+    sim::Simulation simu;
+    net::Network network;
+    /** All server-side machine/host/proxy wiring (single proxy, chain,
+     *  or dispatched cluster). */
+    Topology topo;
+    /** Profile/utilization accounting covers every proxy machine plus,
+     *  in a cluster, the dispatcher machine (appended last). */
+    std::vector<sim::Machine *> profiled;
+    std::vector<sim::Machine *> clientMachines;
+    std::vector<net::Host *> clientHosts;
+    Phases phases;
+    Phones callers, callees;
+};
+
+World::World(const Scenario &scenario)
+    : sc(scenario), simu(sc.seed), network(simu, sc.net),
+      topo(simu, network, sc), profiled(topo.profiledMachines()),
+      phases(2 * sc.clients, sc.clients)
+{
+    net::Host &server_host = topo.faultHost(); // what phones talk to
+    for (int i = 0; i < sc.clientMachines; ++i) {
+        auto &m = simu.addMachine("client" + std::to_string(i),
+                                  sc.clientCores);
+        clientMachines.push_back(&m);
+        clientHosts.push_back(&network.attach(m));
+    }
+
+    // Scenario-level fault injection: translate machine indices into
+    // host ids now that every host is attached.
+    auto for_each_client = [&](int which, auto &&fn) {
+        for (int i = 0; i < sc.clientMachines; ++i) {
+            if (which < 0 || which == i)
+                fn(clientHosts[static_cast<std::size_t>(i)]->id());
+        }
+    };
+    for (const auto &lf : sc.linkFaults) {
+        for_each_client(lf.clientMachine, [&](std::uint32_t client) {
+            if (lf.toProxy)
+                network.faults().setLink(client, server_host.id(),
+                                         lf.imp);
+            if (lf.fromProxy)
+                network.faults().setLink(server_host.id(), client,
+                                         lf.imp);
+        });
+    }
+    for (const auto &pt : sc.partitions) {
+        for_each_client(pt.clientMachine, [&](std::uint32_t client) {
+            network.faults().addPartition(server_host.id(), client,
+                                          pt.start, pt.stop);
+        });
+    }
+
+    phases.window = sc.measureWindow;
+    const int calls_per_client = sc.measureWindow > 0
+        ? INT_MAX / 4
+        : sc.callsPerClient;
+    callers.reserve(static_cast<std::size_t>(sc.clients));
+    callees.reserve(static_cast<std::size_t>(sc.clients));
+    for (int i = 0; i < sc.clients; ++i) {
+        int m = i % sc.clientMachines;
+        auto mk_cfg = [&](const std::string &user, std::uint16_t port,
+                          net::Addr proxy_addr) {
+            phone::PhoneConfig cfg;
+            cfg.user = user;
+            cfg.port = port;
+            cfg.transport = sc.proxy.transport;
+            cfg.proxyAddr = proxy_addr;
+            cfg.opsPerConn = sc.opsPerConn;
+            cfg.answerDelay = sc.answerDelay;
+            cfg.responseTimeout = sc.phoneResponseTimeout;
+            cfg.retryBackoffCap = sc.phoneRetryBackoffCap;
+            return cfg;
+        };
+        // Callers attach to the edge; callees live at the destination
+        // (their home proxy) so only requests traverse the chain and
+        // registrations stay local to each hop.
+        callees.push_back(std::make_unique<phone::Phone>(
+            *clientMachines[static_cast<std::size_t>(m)],
+            *clientHosts[static_cast<std::size_t>(m)],
+            mk_cfg("c" + std::to_string(i),
+                   static_cast<std::uint16_t>(16000 + i),
+                   topo.calleeEntry())));
+        callees.back()->startCallee(calls_per_client,
+                                    &phases.registered, nullptr);
+        callers.push_back(std::make_unique<phone::Phone>(
+            *clientMachines[static_cast<std::size_t>(m)],
+            *clientHosts[static_cast<std::size_t>(m)],
+            mk_cfg("a" + std::to_string(i),
+                   static_cast<std::uint16_t>(6000 + i),
+                   topo.callerEntry())));
+        callers.back()->startCaller(calls_per_client,
+                                    "c" + std::to_string(i),
+                                    &phases.registered, &phases.start,
+                                    &phases.done, &phases.stopCalling);
+    }
+
+    clientMachines[0]->spawn(
+        "manager", 0, [this](sim::Process &p) {
+            return managerMain(p, &phases, profiled, clientMachines);
+        });
+}
+
+/**
+ * Phone-fleet totals into @p r's phone counters: ops, calls, 503s and
+ * backoffs are counted at the callers (each transaction once),
+ * retransmissions and reconnects at callers and callees alike. Returns
+ * the callers' latest completed operation.
+ */
+sim::SimTime
+sumPhones(const World &w, RunResult &r)
+{
+    sim::SimTime last_op = 0;
+    for (const auto &ph : w.callers) {
+        const phone::PhoneStats &st = ph->stats();
+        r.ops += st.opsCompleted;
+        r.callsCompleted += st.callsCompleted;
+        r.callsFailed += st.callsFailed;
+        r.phoneRejected503 += st.rejected503;
+        r.phoneBackoffs += st.backoffs;
+        last_op = std::max(last_op, st.lastOpDone);
+    }
+    for (const Phones *side : {&w.callers, &w.callees}) {
+        for (const auto &ph : *side) {
+            const phone::PhoneStats &st = ph->stats();
+            r.phoneRetransmissions += st.retransmissions;
+            r.reconnects += st.reconnects;
+            r.reconnectFailures += st.reconnectFailures;
+        }
+    }
+    return last_op;
+}
+
+/** Per-proxy telemetry gauges: queue depths, table occupancy, overload
+ *  and hop-control state, the window's serve latency, arch internals. */
+void
+sampleProxyGauges(stats::Series &s, core::Proxy &px, ServedWindow &sw)
+{
+    const core::ProxyConfig &cfg = px.config();
+    core::SharedState &sh = px.shared();
+    s.gauge("queue.request",
+            static_cast<double>(px.requestQueueDepth()));
+    s.gauge("queue.recv", static_cast<double>(px.recvQueueDepth()));
+    // Two table keys per transaction record.
+    s.gauge("txn.records", static_cast<double>(sh.txns.size()) / 2.0);
+    if (cfg.overload.txnTableCapacity > 0) {
+        s.gauge("occ.txnTable",
+                static_cast<double>(sh.txns.size())
+                    / static_cast<double>(
+                        cfg.overload.txnTableCapacity));
+    }
+    if (cfg.overload.recvQueueCapacity > 0) {
+        s.gauge("occ.recvQueue",
+                static_cast<double>(px.recvQueueDepth())
+                    / static_cast<double>(
+                        cfg.overload.recvQueueCapacity));
+    }
+    const core::OverloadController &oc = sh.overload;
+    s.gauge("overload.occupancy", oc.occupancySignal());
+    s.gauge("overload.latencyEwmaMs", sim::toMsecs(oc.latencyEwma()));
+    s.gauge("overload.rate", oc.currentRate());
+    s.gauge("overload.shedding", oc.shedding() ? 1.0 : 0.0);
+    s.gauge("hop.grantedRate", oc.hopGrantedRate());
+    s.gauge("hop.grantedWindow",
+            static_cast<double>(oc.hopGrantedWindow()));
+    s.gauge("hop.on", oc.hopOn() ? 1.0 : 0.0);
+    if (cfg.nextHop.valid()) {
+        s.gauge("hopgate.rateToNext",
+                sh.hopGate.grantedRate(cfg.nextHop));
+        s.gauge("hopgate.windowToNext",
+                static_cast<double>(
+                    sh.hopGate.grantedWindow(cfg.nextHop)));
+        s.gauge("hopgate.pendingToNext",
+                static_cast<double>(
+                    sh.hopGate.pendingToward(cfg.nextHop)));
+    }
+    if (sw.hist.count() > 0) {
+        s.gauge("latency.meanMs", sim::toMsecs(sw.hist.mean()));
+        s.gauge("latency.p50Ms",
+                sim::toMsecs(sw.hist.percentileMid(0.5)));
+        s.gauge("latency.p95Ms",
+                sim::toMsecs(sw.hist.percentileMid(0.95)));
+        s.gauge("latency.p99Ms",
+                sim::toMsecs(sw.hist.percentileMid(0.99)));
+        s.gauge("latency.p999Ms",
+                sim::toMsecs(sw.hist.percentileMid(0.999)));
+        s.gauge("latency.maxMs", sim::toMsecs(sw.hist.max()));
+    }
+    sw.hist.reset();
+    if (const core::ServerArch *arch = px.arch()) {
+        std::vector<core::ArchGauge> gauges;
+        arch->appendTelemetryGauges(gauges);
+        for (const core::ArchGauge &g : gauges)
+            s.gauge(g.name, g.value);
+    }
+}
+
+/**
+ * Windowed telemetry (Scenario::telemetry): one series per proxy
+ * instance and per client machine, the dispatcher in a cluster, plus
+ * phone-fleet and network-fabric pseudo-series. It exists only when
+ * enabled — its sampler is a simulated process — so default runs keep
+ * their pinned digests byte-identical.
+ */
+class Telemetry
+{
+  public:
+    explicit Telemetry(World &w);
+
+    Telemetry(const Telemetry &) = delete;
+    Telemetry &operator=(const Telemetry &) = delete;
+
+    /** Flush the final, partial window. Call at the instant the
+     *  end-of-run counters are read, so every series' per-window
+     *  deltas sum exactly to the totals in RunResult. */
+    std::shared_ptr<stats::TimeSeries> finish();
+
+  private:
+    sim::Task tick(sim::Process &p);
+    void sample();
+
+    World &w_;
+    std::shared_ptr<stats::TimeSeries> ts_;
+    std::vector<stats::Series *> proxies_, clients_;
+    stats::Series *dispatcher_ = nullptr;
+    stats::Series *phones_ = nullptr;
+    stats::Series *net_ = nullptr;
+    std::vector<ServedWindow> served_;
+};
+
+Telemetry::Telemetry(World &w)
+    : w_(w), served_(w.topo.proxies().size())
+{
+    const Scenario &sc = w.sc;
+    Topology &topo = w.topo;
+    const char *transport = core::transportName(sc.proxy.transport);
+    ts_ = std::make_shared<stats::TimeSeries>(
+        sc.name, sc.seed, sc.telemetry.window(), transport);
+    // One series per proxy instance: chain hops (hop = chain index) or
+    // cluster members (hop = instance index).
+    for (std::size_t i = 0; i < topo.proxies().size(); ++i) {
+        core::Proxy &px = *topo.proxies()[i];
+        proxies_.push_back(&ts_->add(
+            topo.serverMachines()[i]->name(), static_cast<int>(i),
+            core::archKindName(px.arch()->kind()),
+            core::transportName(px.config().transport)));
+        // The overload controller times every served request on every
+        // policy (including None); the sink gives telemetry a
+        // per-window latency histogram without a second timer.
+        px.shared().overload.setServedSink(
+            [sw = &served_[i]](sim::SimTime latency) {
+                sw->hist.record(latency);
+                ++sw->servedTotal;
+            });
+    }
+    if (topo.cluster()) {
+        dispatcher_ = &ts_->add(topo.dispatcherMachine()->name(), -1,
+                                "dispatcher", transport);
+    }
+    for (sim::Machine *m : w.clientMachines)
+        clients_.push_back(&ts_->add(m->name(), -1, "", transport));
+    phones_ = &ts_->add("phones", -1, "", transport);
+    net_ = &ts_->add("net", -1, "", transport);
+
+    // Window 0 opens at t=0; the sampler closes a window at every
+    // following multiple of the width. The last (partial) window is
+    // flushed synchronously by finish().
+    for (const auto &s : ts_->series())
+        s->beginWindow(0);
+    w.clientMachines[0]->spawn(
+        "telemetry", 0, [this](sim::Process &p) { return tick(p); });
+}
+
+/**
+ * The sampler process: cuts a window at every multiple of the window
+ * width from t=0 (registration included — the warmup phase is part of
+ * the story).
+ */
+sim::Task
+Telemetry::tick(sim::Process &p)
+{
+    const sim::SimTime window = w_.sc.telemetry.window();
+    sim::SimTime next = window;
+    for (;;) {
+        sim::SimTime now = p.sim().now();
+        if (now < next)
+            co_await p.sleepFor(next - now);
+        // Once the measured phase is over, everything after this
+        // boundary (the settle tail) belongs to the final window that
+        // finish() flushes — stop ticking so the run loop's coast to
+        // its next check produces no empty windows.
+        if (w_.phases.finished)
+            co_return;
+        sample();
+        for (const auto &s : ts_->series())
+            s->beginWindow(p.sim().now());
+        next += window;
+    }
+}
+
+void
+Telemetry::sample()
+{
+    Topology &topo = w_.topo;
+    for (std::size_t i = 0; i < proxies_.size(); ++i) {
+        stats::Series &s = *proxies_[i];
+        core::Proxy &px = *topo.proxies()[i];
+        sampleMachine(s, *topo.serverMachines()[i],
+                      *topo.serverHosts()[i]);
+        stats::forEachCounter("proxy.", px.shared().counters,
+                              counters::kProxy, into(s));
+        s.counter("queue.recvDrops", px.recvQueueDrops());
+        s.counter("accept.refused", px.acceptRefused());
+        s.counter("served.count", served_[i].servedTotal);
+        sampleProxyGauges(s, px, served_[i]);
+    }
+    if (dispatcher_) {
+        sampleMachine(*dispatcher_, *topo.dispatcherMachine(),
+                      *topo.dispatcherHost());
+        const core::DispatcherStats &d = topo.dispatcher()->stats();
+        stats::forEachCounter("dispatcher.", d, counters::kDispatcher,
+                              into(*dispatcher_));
+        for (std::size_t i = 0; i < d.toInstance.size(); ++i) {
+            dispatcher_->counter(
+                "dispatcher.toInstance" + std::to_string(i),
+                d.toInstance[i]);
+        }
+    }
+    for (std::size_t i = 0; i < clients_.size(); ++i) {
+        sampleMachine(*clients_[i], *w_.clientMachines[i],
+                      *w_.clientHosts[i]);
+    }
+    RunResult p;
+    sumPhones(w_, p);
+    phones_->counter("phone.ops", p.ops);
+    phones_->counter("phone.callsCompleted", p.callsCompleted);
+    phones_->counter("phone.callsFailed", p.callsFailed);
+    phones_->counter("phone.retransmissions", p.phoneRetransmissions);
+    phones_->counter("phone.reconnects", p.reconnects);
+    phones_->counter("phone.reconnectFailures", p.reconnectFailures);
+    phones_->counter("phone.rejected503", p.phoneRejected503);
+    phones_->counter("phone.backoffs", p.phoneBackoffs);
+    const net::NetStats &nst = w_.network.stats();
+    stats::forEachCounter("net.", nst, counters::kNet, into(*net_));
+    net_->counter("net.batchRecvCalls", nst.batchRecv.calls);
+    net_->counter("net.batchRecvMsgs", nst.batchRecv.messages);
+    net_->counter("net.batchSendCalls", nst.batchSend.calls);
+    net_->counter("net.batchSendMsgs", nst.batchSend.messages);
+}
+
+std::shared_ptr<stats::TimeSeries>
+Telemetry::finish()
+{
+    const sim::SimTime end = w_.simu.now();
+    sample();
+    for (const auto &s : ts_->series())
+        s->finish(end);
+    const Phases &phases = w_.phases;
+    ts_->setMeasurePhase(phases.measureStart,
+                         phases.finished ? phases.measureEnd : end);
+    return ts_;
+}
+
+/** End-of-run collection: every counter the run produced, read at one
+ *  instant into a RunResult. */
+RunResult
+collect(World &w)
+{
+    const Phases &phases = w.phases;
+    std::vector<std::unique_ptr<core::Proxy>> &proxies = w.topo.proxies();
+    RunResult result;
+    result.timedOut = !phases.finished;
+    sim::SimTime end = phases.finished ? phases.measureEnd : w.simu.now();
+    result.duration = end - phases.measureStart;
+
+    // Operations are counted at the callers (each transaction once).
+    sim::SimTime last_op =
+        std::max(phases.measureStart, sumPhones(w, result));
+    if (result.timedOut)
+        result.duration = last_op - phases.measureStart;
+    if (result.duration > 0) {
+        result.opsPerSec = static_cast<double>(result.ops)
+            / sim::toSecs(result.duration);
+    }
+
+    // Latency percentiles over all callers' INVITE transactions.
+    stats::LatencyHistogram invite;
+    for (const auto &ph : w.callers)
+        invite.merge(ph->stats().inviteLatency);
+    result.inviteP50 = invite.percentile(0.5);
+    result.inviteP99 = invite.percentile(0.99);
+
+    for (const auto &px : proxies) {
+        for (const auto &f : counters::kProxy)
+            result.counters.*(f.member) += px->shared().counters.*(f.member);
+        result.txnEntriesAtEnd += px->shared().txns.size();
+        result.retransEntriesAtEnd += px->shared().retrans.size();
+        result.connEntriesAtEnd += px->shared().conns.size();
+        result.proxyRecvQueueDrops += px->recvQueueDrops();
+        result.proxyAcceptRefused += px->acceptRefused();
+    }
+    if (w.topo.hops() > 1) {
+        for (const auto &px : proxies)
+            result.hopCounters.push_back(px->shared().counters);
+    }
+    if (w.topo.cluster()) {
+        result.clusterInstances = static_cast<int>(proxies.size());
+        for (const auto &px : proxies)
+            result.instanceCounters.push_back(px->shared().counters);
+        result.dispatcherStats = w.topo.dispatcher()->stats();
+    }
+    result.net = w.network.stats();
+    result.faults = w.network.faults().stats();
+    if (const core::ServerArch *arch = w.topo.edge().arch()) {
+        result.archKind = arch->kind();
+        result.archLoops = arch->loopCount();
+    }
+    // Profile the destination machine: it is the saturating hop the
+    // distributed schemes protect (single proxy: the only machine).
+    result.serverProfile = w.topo.serverMachines().back()->profiler();
+    if (result.duration > 0) {
+        // Server utilization reports the busiest server-side machine
+        // (hop, cluster instance, or the dispatcher).
+        const std::vector<sim::Machine *> &profiled = w.profiled;
+        for (std::size_t i = 0; i < profiled.size(); ++i) {
+            double capacity = sim::toSecs(result.duration)
+                * profiled[i]->scheduler().cores();
+            // Bursts spanning the phase boundary are charged when
+            // they end, so clamp the tiny resulting over-count.
+            result.serverUtilization = std::max(
+                result.serverUtilization,
+                std::min(
+                    1.0,
+                    sim::toSecs(
+                        profiled[i]->scheduler().busyTime()
+                        - (i < phases.serverBusyAtStart.size()
+                               ? phases.serverBusyAtStart[i]
+                               : 0))
+                        / capacity));
+        }
+        for (std::size_t i = 0; i < w.clientMachines.size(); ++i) {
+            sim::Machine &m = *w.clientMachines[i];
+            double busy = sim::toSecs(
+                m.scheduler().busyTime()
+                - (i < phases.clientBusyAtStart.size()
+                       ? phases.clientBusyAtStart[i]
+                       : 0));
+            double cap = sim::toSecs(result.duration)
+                * m.scheduler().cores();
+            result.maxClientUtilization = std::max(
+                result.maxClientUtilization, busy / cap);
+        }
+    }
+
+    result.simEvents = w.simu.eventsRun();
+    const sim::mem::Ledgers &mem = sim::mem::ledgers();
+    result.memArenaPeak = mem.arena.peak;
+    result.memEventSlabPeak = mem.eventSlab.peak;
+    result.memFramePoolPeak = mem.framePool.peak;
+    return result;
 }
 
 } // namespace
@@ -258,963 +711,52 @@ runScenario(const Scenario &sc)
     // runs in one process; the peaks should describe this scenario).
     sim::mem::ledgers().resetPeaks();
 
-    sim::Simulation simu(sc.seed);
-    net::Network network(simu, sc.net);
-    // All server-side machine/host/proxy wiring (single proxy, chain,
-    // or dispatched cluster) lives in the topology layer.
-    Topology topo(simu, network, sc);
-    const std::size_t hops = topo.hops();
-    std::vector<sim::Machine *> &server_machines = topo.serverMachines();
-    std::vector<net::Host *> &server_hosts = topo.serverHosts();
-    std::vector<std::unique_ptr<core::Proxy>> &proxies = topo.proxies();
-    // Profile/utilization accounting covers every proxy machine plus,
-    // in a cluster, the dispatcher machine (appended last).
-    std::vector<sim::Machine *> profiled = topo.profiledMachines();
-    net::Host &server_host = topo.faultHost(); // what phones talk to
-    core::Proxy &proxy = topo.edge();          // edge: callers
-    core::Proxy &dest_proxy = topo.dest();     // destination: callees
-
-    std::vector<sim::Machine *> client_machines;
-    std::vector<net::Host *> client_hosts;
-    for (int i = 0; i < sc.clientMachines; ++i) {
-        auto &m = simu.addMachine("client" + std::to_string(i),
-                                  sc.clientCores);
-        client_machines.push_back(&m);
-        client_hosts.push_back(&network.attach(m));
-    }
-
-    // Scenario-level fault injection: translate machine indices into
-    // host ids now that every host is attached.
-    auto for_each_client = [&](int which, auto &&fn) {
-        for (int i = 0; i < sc.clientMachines; ++i) {
-            if (which < 0 || which == i)
-                fn(client_hosts[static_cast<std::size_t>(i)]->id());
-        }
-    };
-    for (const auto &lf : sc.linkFaults) {
-        for_each_client(lf.clientMachine, [&](std::uint32_t client) {
-            if (lf.toProxy)
-                network.faults().setLink(client, server_host.id(),
-                                         lf.imp);
-            if (lf.fromProxy)
-                network.faults().setLink(server_host.id(), client,
-                                         lf.imp);
-        });
-    }
-    for (const auto &pt : sc.partitions) {
-        for_each_client(pt.clientMachine, [&](std::uint32_t client) {
-            network.faults().addPartition(server_host.id(), client,
-                                          pt.start, pt.stop);
-        });
-    }
-
-    Phases phases(2 * sc.clients, sc.clients);
-    phases.window = sc.measureWindow;
-    const int calls_per_client = sc.measureWindow > 0
-        ? INT_MAX / 4
-        : sc.callsPerClient;
-    std::vector<std::unique_ptr<phone::Phone>> callers, callees;
-    callers.reserve(static_cast<std::size_t>(sc.clients));
-    callees.reserve(static_cast<std::size_t>(sc.clients));
-    for (int i = 0; i < sc.clients; ++i) {
-        int m = i % sc.clientMachines;
-        auto mk_cfg = [&](const std::string &user, std::uint16_t port,
-                          net::Addr proxy_addr) {
-            phone::PhoneConfig cfg;
-            cfg.user = user;
-            cfg.port = port;
-            cfg.transport = sc.proxy.transport;
-            cfg.proxyAddr = proxy_addr;
-            cfg.opsPerConn = sc.opsPerConn;
-            cfg.answerDelay = sc.answerDelay;
-            cfg.responseTimeout = sc.phoneResponseTimeout;
-            cfg.retryBackoffCap = sc.phoneRetryBackoffCap;
-            return cfg;
-        };
-        // Callers attach to the edge; callees live at the destination
-        // (their home proxy) so only requests traverse the chain and
-        // registrations stay local to each hop.
-        callees.push_back(std::make_unique<phone::Phone>(
-            *client_machines[static_cast<std::size_t>(m)],
-            *client_hosts[static_cast<std::size_t>(m)],
-            mk_cfg("c" + std::to_string(i),
-                   static_cast<std::uint16_t>(16000 + i),
-                   topo.calleeEntry())));
-        callees.back()->startCallee(calls_per_client,
-                                    &phases.registered, nullptr);
-        callers.push_back(std::make_unique<phone::Phone>(
-            *client_machines[static_cast<std::size_t>(m)],
-            *client_hosts[static_cast<std::size_t>(m)],
-            mk_cfg("a" + std::to_string(i),
-                   static_cast<std::uint16_t>(6000 + i),
-                   topo.callerEntry())));
-        callers.back()->startCaller(calls_per_client,
-                                    "c" + std::to_string(i),
-                                    &phases.registered, &phases.start,
-                                    &phases.done, &phases.stopCalling);
-    }
-
-    client_machines[0]->spawn(
-        "manager", 0, [&](sim::Process &p) {
-            return managerMain(p, &phases, profiled,
-                               client_machines);
-        });
+    World w(sc);
 
     // The sampler watches the destination: in a chain it is the
     // bottleneck whose signals drive the feedback (single proxy: the
     // only one).
     std::vector<OccupancySample> occupancy;
     if (sc.sampleInterval > 0) {
-        client_machines[0]->spawn(
+        w.clientMachines[0]->spawn(
             "sampler", 0, [&](sim::Process &p) {
-                return samplerMain(p, &phases, &dest_proxy,
+                return samplerMain(p, &w.phases, &w.topo.dest(),
                                    sc.sampleInterval, &occupancy);
             });
     }
 
-    // Windowed telemetry (Scenario::telemetry): one series per proxy
-    // hop and per client machine, plus phone-fleet and network-fabric
-    // pseudo-series. Everything below — including the sampler process
-    // itself — exists only when enabled, so default runs keep their
-    // pinned digests byte-identical.
-    std::shared_ptr<stats::TimeSeries> telemetry;
-    std::vector<stats::Series *> hop_series, client_series;
-    stats::Series *phone_series = nullptr;
-    stats::Series *disp_series = nullptr;
-    stats::Series *net_series = nullptr;
-    std::vector<stats::Series *> all_series;
-    std::vector<ServedWindow> served(proxies.size());
-    std::function<void(sim::SimTime)> telemetry_sample;
-    std::function<void(sim::SimTime)> telemetry_boundary;
-    if (sc.telemetry.enabled()) {
-        const char *transport =
-            core::transportName(sc.proxy.transport);
-        telemetry = std::make_shared<stats::TimeSeries>(
-            sc.name, sc.seed, sc.telemetry.window(), transport);
-        // One series per proxy instance: chain hops (hop = chain
-        // index) or cluster members (hop = instance index).
-        for (std::size_t i = 0; i < proxies.size(); ++i) {
-            hop_series.push_back(&telemetry->add(
-                server_machines[i]->name(), static_cast<int>(i),
-                core::archKindName(proxies[i]->arch()->kind()),
-                core::transportName(
-                    proxies[i]->config().transport)));
-            // The overload controller times every served request on
-            // every policy (including None); the sink gives telemetry
-            // a per-window latency histogram without a second timer.
-            proxies[i]->shared().overload.setServedSink(
-                [sw = &served[i]](sim::SimTime latency) {
-                    sw->hist.record(latency);
-                    ++sw->servedTotal;
-                });
-        }
-        if (topo.cluster()) {
-            disp_series = &telemetry->add(
-                topo.dispatcherMachine()->name(), -1, "dispatcher",
-                transport);
-        }
-        for (std::size_t i = 0; i < client_machines.size(); ++i) {
-            client_series.push_back(&telemetry->add(
-                client_machines[i]->name(), -1, "", transport));
-        }
-        phone_series = &telemetry->add("phones", -1, "", transport);
-        net_series = &telemetry->add("net", -1, "", transport);
-        for (stats::Series *s : hop_series)
-            all_series.push_back(s);
-        if (disp_series)
-            all_series.push_back(disp_series);
-        for (stats::Series *s : client_series)
-            all_series.push_back(s);
-        all_series.push_back(phone_series);
-        all_series.push_back(net_series);
-
-        telemetry_sample = [&](sim::SimTime) {
-            for (std::size_t i = 0; i < proxies.size(); ++i) {
-                stats::Series &s = *hop_series[i];
-                core::Proxy &px = *proxies[i];
-                sampleMachine(s, *server_machines[i],
-                              *server_hosts[i]);
-                const core::ProxyCounters &c =
-                    px.shared().counters;
-                s.counter("proxy.messagesIn", c.messagesIn);
-                s.counter("proxy.requestsIn", c.requestsIn);
-                s.counter("proxy.responsesIn", c.responsesIn);
-                s.counter("proxy.forwards", c.forwards);
-                s.counter("proxy.localReplies", c.localReplies);
-                s.counter("proxy.retransAbsorbed",
-                          c.retransAbsorbed);
-                s.counter("proxy.retransSent", c.retransSent);
-                s.counter("proxy.fdRequests", c.fdRequests);
-                s.counter("proxy.fdCacheHits", c.fdCacheHits);
-                s.counter("proxy.connsAccepted", c.connsAccepted);
-                s.counter("proxy.outboundConnects",
-                          c.outboundConnects);
-                s.counter("proxy.overloadRejected",
-                          c.overloadRejected);
-                s.counter("proxy.overloadThrottled",
-                          c.overloadThrottled);
-                s.counter("proxy.overloadPanicDrops",
-                          c.overloadPanicDrops);
-                s.counter("proxy.hopFeedbackSent",
-                          c.hopFeedbackSent);
-                s.counter("proxy.hopThrottleHolds",
-                          c.hopThrottleHolds);
-                s.counter("proxy.hopThrottleRejects",
-                          c.hopThrottleRejects);
-                s.counter("queue.recvDrops", px.recvQueueDrops());
-                s.counter("accept.refused", px.acceptRefused());
-                s.counter("served.count", served[i].servedTotal);
-                if (topo.cluster()) {
-                    s.counter("loc.localHits", c.locLocalHits);
-                    s.counter("loc.replicaHits", c.locReplicaHits);
-                    s.counter("loc.missForwards", c.locMissForwards);
-                    s.counter("loc.replPushes", c.locReplPushes);
-                    s.counter("loc.replInstalls", c.locReplInstalls);
-                }
-
-                const core::ProxyConfig &cfg = px.config();
-                core::SharedState &sh = px.shared();
-                s.gauge("queue.request",
-                        static_cast<double>(
-                            px.requestQueueDepth()));
-                s.gauge("queue.recv",
-                        static_cast<double>(px.recvQueueDepth()));
-                // Two table keys per transaction record.
-                s.gauge("txn.records",
-                        static_cast<double>(sh.txns.size()) / 2.0);
-                if (cfg.overload.txnTableCapacity > 0) {
-                    s.gauge("occ.txnTable",
-                            static_cast<double>(sh.txns.size())
-                                / static_cast<double>(
-                                    cfg.overload.txnTableCapacity));
-                }
-                if (cfg.overload.recvQueueCapacity > 0) {
-                    s.gauge("occ.recvQueue",
-                            static_cast<double>(px.recvQueueDepth())
-                                / static_cast<double>(
-                                    cfg.overload
-                                        .recvQueueCapacity));
-                }
-                const core::OverloadController &oc = sh.overload;
-                s.gauge("overload.occupancy", oc.occupancySignal());
-                s.gauge("overload.latencyEwmaMs",
-                        sim::toMsecs(oc.latencyEwma()));
-                s.gauge("overload.rate", oc.currentRate());
-                s.gauge("overload.shedding",
-                        oc.shedding() ? 1.0 : 0.0);
-                s.gauge("hop.grantedRate", oc.hopGrantedRate());
-                s.gauge("hop.grantedWindow",
-                        static_cast<double>(oc.hopGrantedWindow()));
-                s.gauge("hop.on", oc.hopOn() ? 1.0 : 0.0);
-                if (cfg.nextHop.valid()) {
-                    s.gauge("hopgate.rateToNext",
-                            sh.hopGate.grantedRate(cfg.nextHop));
-                    s.gauge("hopgate.windowToNext",
-                            static_cast<double>(
-                                sh.hopGate.grantedWindow(
-                                    cfg.nextHop)));
-                    s.gauge("hopgate.pendingToNext",
-                            static_cast<double>(
-                                sh.hopGate.pendingToward(
-                                    cfg.nextHop)));
-                }
-                ServedWindow &sw = served[i];
-                if (sw.hist.count() > 0) {
-                    s.gauge("latency.meanMs",
-                            sim::toMsecs(sw.hist.mean()));
-                    s.gauge("latency.p50Ms",
-                            sim::toMsecs(
-                                sw.hist.percentileMid(0.5)));
-                    s.gauge("latency.p95Ms",
-                            sim::toMsecs(
-                                sw.hist.percentileMid(0.95)));
-                    s.gauge("latency.p99Ms",
-                            sim::toMsecs(
-                                sw.hist.percentileMid(0.99)));
-                    s.gauge("latency.p999Ms",
-                            sim::toMsecs(
-                                sw.hist.percentileMid(0.999)));
-                    s.gauge("latency.maxMs",
-                            sim::toMsecs(sw.hist.max()));
-                }
-                sw.hist.reset();
-                if (const core::ServerArch *arch = px.arch()) {
-                    std::vector<core::ArchGauge> gauges;
-                    arch->appendTelemetryGauges(gauges);
-                    for (const core::ArchGauge &g : gauges)
-                        s.gauge(g.name, g.value);
-                }
-            }
-
-            if (disp_series) {
-                stats::Series &s = *disp_series;
-                sampleMachine(s, *topo.dispatcherMachine(),
-                              *topo.dispatcherHost());
-                const core::DispatcherStats &d =
-                    topo.dispatcher()->stats();
-                s.counter("disp.messagesIn", d.messagesIn);
-                s.counter("disp.requestsRouted", d.requestsRouted);
-                s.counter("disp.responsesRouted", d.responsesRouted);
-                s.counter("disp.registersRouted", d.registersRouted);
-                s.counter("disp.peekFailures", d.peekFailures);
-                s.counter("disp.dropsNoRoute", d.dropsNoRoute);
-                s.counter("disp.clientConnsAccepted",
-                          d.clientConnsAccepted);
-                for (std::size_t i = 0; i < d.toInstance.size(); ++i) {
-                    s.counter("disp.toInstance" + std::to_string(i),
-                              d.toInstance[i]);
-                }
-            }
-
-            for (std::size_t i = 0; i < client_series.size(); ++i) {
-                sampleMachine(*client_series[i],
-                              *client_machines[i],
-                              *client_hosts[i]);
-            }
-
-            std::uint64_t p_ops = 0, p_done = 0, p_fail = 0,
-                          p_ret = 0, p_rej = 0, p_back = 0;
-            for (const auto &ph : callers) {
-                const phone::PhoneStats &st = ph->stats();
-                p_ops += st.opsCompleted;
-                p_done += st.callsCompleted;
-                p_fail += st.callsFailed;
-                p_ret += st.retransmissions;
-                p_rej += st.rejected503;
-                p_back += st.backoffs;
-            }
-            for (const auto &ph : callees)
-                p_ret += ph->stats().retransmissions;
-            phone_series->counter("phone.ops", p_ops);
-            phone_series->counter("phone.callsCompleted", p_done);
-            phone_series->counter("phone.callsFailed", p_fail);
-            phone_series->counter("phone.retransmissions", p_ret);
-            phone_series->counter("phone.rejected503", p_rej);
-            phone_series->counter("phone.backoffs", p_back);
-
-            const net::NetStats &nst = network.stats();
-            net_series->counter("net.udpSent", nst.udpSent);
-            net_series->counter("net.udpDelivered",
-                                nst.udpDelivered);
-            net_series->counter("net.udpDropped", nst.udpDropped);
-            net_series->counter("net.udpLost", nst.udpLost);
-            net_series->counter("net.tcpConnects", nst.tcpConnects);
-            net_series->counter("net.tcpSegments", nst.tcpSegments);
-            net_series->counter("net.tcpBytes", nst.tcpBytes);
-            net_series->counter("net.sctpMessages",
-                                nst.sctpMessages);
-            net_series->counter("net.sctpDropped", nst.sctpDropped);
-            net_series->counter("net.sstMessages", nst.sstMessages);
-            net_series->counter("net.sstFrames", nst.sstFrames);
-            net_series->counter("net.sstDropped", nst.sstDropped);
-            net_series->counter("net.tlsRecords", nst.tlsRecords);
-            net_series->counter("net.batchRecvCalls",
-                                nst.batchRecv.calls);
-            net_series->counter("net.batchRecvMsgs",
-                                nst.batchRecv.messages);
-            net_series->counter("net.batchSendCalls",
-                                nst.batchSend.calls);
-            net_series->counter("net.batchSendMsgs",
-                                nst.batchSend.messages);
-        };
-        telemetry_boundary = [&](sim::SimTime now) {
-            telemetry_sample(now);
-            for (stats::Series *s : all_series)
-                s->beginWindow(now);
-        };
-
-        // Window 0 opens at t=0; the sampler closes a window at every
-        // following multiple of the width. The last (partial) window
-        // is flushed synchronously when the run's counters are read.
-        for (stats::Series *s : all_series)
-            s->beginWindow(0);
-        client_machines[0]->spawn(
-            "telemetry", 0, [&](sim::Process &p) {
-                return telemetryMain(p, &phases,
-                                     sc.telemetry.window(),
-                                     &telemetry_boundary);
-            });
-    }
+    std::unique_ptr<Telemetry> telemetry;
+    if (sc.telemetry.enabled())
+        telemetry = std::make_unique<Telemetry>(w);
 
     // Registration phase has no explicit cap; the measured phase is
     // capped at maxDuration past its start.
+    Phases &phases = w.phases;
     while (!phases.finished) {
         sim::SimTime deadline = phases.measureStart > 0
             ? phases.measureStart + sc.maxDuration
-            : simu.now() + sim::secs(30);
-        simu.runUntil(std::min(deadline, simu.now() + sim::secs(1)));
+            : w.simu.now() + sim::secs(30);
+        w.simu.runUntil(std::min(deadline, w.simu.now() + sim::secs(1)));
         if (phases.measureStart > 0
-            && simu.now() >= phases.measureStart + sc.maxDuration) {
+            && w.simu.now() >= phases.measureStart + sc.maxDuration) {
             break;
         }
         if (phases.measureStart == 0
-            && simu.now() > sim::secs(3600)) {
+            && w.simu.now() > sim::secs(3600)) {
             break; // registration wedged: report what we have
         }
     }
 
     if (phases.finished && sc.settleTime > 0)
-        simu.runFor(sc.settleTime);
+        w.simu.runFor(sc.settleTime);
 
-    // Flush the final telemetry window here — the same instant the
-    // end-of-run counters below are read — so every series' per-window
-    // deltas sum exactly to the totals in RunResult.
-    if (telemetry) {
-        const sim::SimTime tele_end = simu.now();
-        telemetry_sample(tele_end);
-        for (stats::Series *s : all_series)
-            s->finish(tele_end);
-        telemetry->setMeasurePhase(
-            phases.measureStart,
-            phases.finished ? phases.measureEnd : tele_end);
-    }
-
-    RunResult result;
-    result.timeseries = telemetry;
-    result.timedOut = !phases.finished;
-    sim::SimTime end = phases.finished ? phases.measureEnd : simu.now();
-    result.duration = end - phases.measureStart;
-
-    // Operations are counted at the callers (each transaction once).
-    sim::SimTime last_op = phases.measureStart;
-    for (const auto &ph : callers) {
-        const auto &st = ph->stats();
-        result.ops += st.opsCompleted;
-        result.callsCompleted += st.callsCompleted;
-        result.callsFailed += st.callsFailed;
-        last_op = std::max(last_op, st.lastOpDone);
-    }
-    for (const auto &ph : callees) {
-        const auto &st = ph->stats();
-        result.phoneRetransmissions += st.retransmissions;
-        result.reconnects += st.reconnects;
-        result.reconnectFailures += st.reconnectFailures;
-    }
-    for (const auto &ph : callers) {
-        const auto &st = ph->stats();
-        result.phoneRetransmissions += st.retransmissions;
-        result.reconnects += st.reconnects;
-        result.reconnectFailures += st.reconnectFailures;
-        result.phoneRejected503 += st.rejected503;
-        result.phoneBackoffs += st.backoffs;
-    }
-    if (result.timedOut)
-        result.duration = last_op - phases.measureStart;
-    if (result.duration > 0) {
-        result.opsPerSec = static_cast<double>(result.ops)
-            / sim::toSecs(result.duration);
-    }
-
-    // Latency percentiles over all callers' INVITE transactions.
-    stats::LatencyHistogram invite;
-    for (const auto &ph : callers)
-        invite.merge(ph->stats().inviteLatency);
-    result.inviteP50 = invite.percentile(0.5);
-    result.inviteP99 = invite.percentile(0.99);
-
-    for (const auto &px : proxies) {
-        result.counters.add(px->shared().counters);
-        result.txnEntriesAtEnd += px->shared().txns.size();
-        result.retransEntriesAtEnd += px->shared().retrans.size();
-        result.connEntriesAtEnd += px->shared().conns.size();
-        result.proxyRecvQueueDrops += px->recvQueueDrops();
-        result.proxyAcceptRefused += px->acceptRefused();
-    }
-    if (hops > 1) {
-        for (const auto &px : proxies)
-            result.hopCounters.push_back(px->shared().counters);
-    }
-    if (topo.cluster()) {
-        result.clusterInstances = static_cast<int>(proxies.size());
-        for (const auto &px : proxies)
-            result.instanceCounters.push_back(px->shared().counters);
-        result.dispatcherStats = topo.dispatcher()->stats();
-    }
-    result.net = network.stats();
-    result.faults = network.faults().stats();
-    if (const core::ServerArch *arch = proxy.arch()) {
-        result.archKind = arch->kind();
-        result.archLoops = arch->loopCount();
-    }
+    std::shared_ptr<stats::TimeSeries> series =
+        telemetry ? telemetry->finish() : nullptr;
+    RunResult result = collect(w);
+    result.timeseries = std::move(series);
     result.occupancy = std::move(occupancy);
-    // Profile the destination machine: it is the saturating hop the
-    // distributed schemes protect (single proxy: the only machine).
-    result.serverProfile = server_machines.back()->profiler();
-    if (result.duration > 0) {
-        // Server utilization reports the busiest server-side machine
-        // (hop, cluster instance, or the dispatcher).
-        for (std::size_t i = 0; i < profiled.size(); ++i) {
-            double capacity = sim::toSecs(result.duration)
-                * profiled[i]->scheduler().cores();
-            // Bursts spanning the phase boundary are charged when
-            // they end, so clamp the tiny resulting over-count.
-            result.serverUtilization = std::max(
-                result.serverUtilization,
-                std::min(
-                    1.0,
-                    sim::toSecs(
-                        profiled[i]->scheduler().busyTime()
-                        - (i < phases.serverBusyAtStart.size()
-                               ? phases.serverBusyAtStart[i]
-                               : 0))
-                        / capacity));
-        }
-        for (std::size_t i = 0; i < client_machines.size(); ++i) {
-            double busy = sim::toSecs(
-                client_machines[i]->scheduler().busyTime()
-                - (i < phases.clientBusyAtStart.size()
-                       ? phases.clientBusyAtStart[i]
-                       : 0));
-            double cap = sim::toSecs(result.duration)
-                * client_machines[i]->scheduler().cores();
-            result.maxClientUtilization = std::max(
-                result.maxClientUtilization, busy / cap);
-        }
-    }
-
-    result.simEvents = simu.eventsRun();
-    const sim::mem::Ledgers &mem = sim::mem::ledgers();
-    result.memArenaPeak = mem.arena.peak;
-    result.memEventSlabPeak = mem.eventSlab.peak;
-    result.memFramePoolPeak = mem.framePool.peak;
-    topo.requestStop();
+    w.topo.requestStop();
     return result;
-}
-
-std::string
-RunResult::digest() const
-{
-    std::string out;
-    auto add = [&out](const char *name, std::uint64_t v) {
-        out += name;
-        out += '=';
-        out += std::to_string(v);
-        out += '\n';
-    };
-    add("ops", ops);
-    add("callsCompleted", callsCompleted);
-    add("callsFailed", callsFailed);
-    add("phoneRetransmissions", phoneRetransmissions);
-    add("reconnects", reconnects);
-    add("reconnectFailures", reconnectFailures);
-    add("duration", static_cast<std::uint64_t>(duration));
-    add("inviteP50", static_cast<std::uint64_t>(inviteP50));
-    add("inviteP99", static_cast<std::uint64_t>(inviteP99));
-    add("timedOut", timedOut ? 1 : 0);
-    add("messagesIn", counters.messagesIn);
-    add("requestsIn", counters.requestsIn);
-    add("responsesIn", counters.responsesIn);
-    add("forwards", counters.forwards);
-    add("localReplies", counters.localReplies);
-    add("parseErrors", counters.parseErrors);
-    add("routeFailures", counters.routeFailures);
-    add("retransAbsorbed", counters.retransAbsorbed);
-    add("retransSent", counters.retransSent);
-    add("retransTimeouts", counters.retransTimeouts);
-    add("timerB408s", counters.timerB408s);
-    add("registrations", counters.registrations);
-    add("connsAccepted", counters.connsAccepted);
-    add("connsDestroyed", counters.connsDestroyed);
-    add("outboundConnects", counters.outboundConnects);
-    add("overloadRejected", counters.overloadRejected);
-    add("overloadThrottled", counters.overloadThrottled);
-    add("overloadPanicDrops", counters.overloadPanicDrops);
-    add("overloadShedEnters", counters.overloadShedEnters);
-    add("overloadShedExits", counters.overloadShedExits);
-    add("tcpReadPauses", counters.tcpReadPauses);
-    add("tcpReadResumes", counters.tcpReadResumes);
-    add("tcpAcceptPauses", counters.tcpAcceptPauses);
-    add("phoneRejected503", phoneRejected503);
-    add("phoneBackoffs", phoneBackoffs);
-    add("proxyRecvQueueDrops", proxyRecvQueueDrops);
-    add("proxyAcceptRefused", proxyAcceptRefused);
-    add("occupancySamples", occupancy.size());
-    add("udpSent", net.udpSent);
-    add("udpDelivered", net.udpDelivered);
-    add("udpLost", net.udpLost);
-    add("udpDropped", net.udpDropped);
-    add("tcpConnects", net.tcpConnects);
-    add("tcpRefused", net.tcpRefused);
-    add("tcpSegments", net.tcpSegments);
-    add("tcpBytes", net.tcpBytes);
-    add("sctpMessages", net.sctpMessages);
-    add("sctpDropped", net.sctpDropped);
-    add("sctpAssocs", net.sctpAssocs);
-    add("faultDropped", net.faultDropped);
-    add("faultDuplicated", net.faultDuplicated);
-    add("faultDelayed", net.faultDelayed);
-    add("tcpFaultRefused", net.tcpFaultRefused);
-    add("tcpRstInjected", net.tcpRstInjected);
-    add("tcpBlackholed", net.tcpBlackholed);
-    add("tcpRecoveries", net.tcpRecoveries);
-    add("txnEntriesAtEnd", txnEntriesAtEnd);
-    add("retransEntriesAtEnd", retransEntriesAtEnd);
-    add("connEntriesAtEnd", connEntriesAtEnd);
-    // TLS and SST groups are appended only when the transport was in
-    // play, so pre-existing digests stay byte-identical.
-    if (net.tlsConnects || net.tlsHandshakeAborts) {
-        add("tlsConnects", net.tlsConnects);
-        add("tlsHandshakesFull", net.tlsHandshakesFull);
-        add("tlsHandshakesResumed", net.tlsHandshakesResumed);
-        add("tlsZeroRttResumes", net.tlsZeroRttResumes);
-        add("tlsSessionEvictions", net.tlsSessionEvictions);
-        add("tlsHandshakeAborts", net.tlsHandshakeAborts);
-        add("tlsRecords", net.tlsRecords);
-    }
-    if (net.sstMessages || net.sstChannels) {
-        add("sstMessages", net.sstMessages);
-        add("sstStreams", net.sstStreams);
-        add("sstFrames", net.sstFrames);
-        add("sstChannels", net.sstChannels);
-        add("sstDropped", net.sstDropped);
-        add("sstLost", net.sstLost);
-    }
-    // Batched-I/O group: only the recvBatch/sendBatch paths record
-    // batch syscalls, and the architectures take those paths only at
-    // batchMax > 1, so every batchMax=1 digest stays byte-identical
-    // to its pre-batching golden.
-    if (net.batchRecv.calls || net.batchSend.calls) {
-        add("batchRecvCalls", net.batchRecv.calls);
-        add("batchRecvMsgs", net.batchRecv.messages);
-        add("batchRecvMaxDepth", net.batchRecv.maxDepth);
-        add("batchSendCalls", net.batchSend.calls);
-        add("batchSendMsgs", net.batchSend.messages);
-        add("batchSendMaxDepth", net.batchSend.maxDepth);
-    }
-    // Hop-by-hop control and chain groups follow the same convention:
-    // appended only when the feature was in play, so every pre-chain
-    // golden digest stays byte-identical.
-    if (counters.hopFeedbackSent || counters.hopFeedbackApplied
-        || counters.hopThrottleHolds || counters.hopThrottleRejects
-        || counters.hopThrottleDrops || counters.hopGrantExpired) {
-        add("hopFeedbackSent", counters.hopFeedbackSent);
-        add("hopFeedbackApplied", counters.hopFeedbackApplied);
-        add("hopThrottleHolds", counters.hopThrottleHolds);
-        add("hopThrottleRejects", counters.hopThrottleRejects);
-        add("hopThrottleDrops", counters.hopThrottleDrops);
-        add("hopGrantExpired", counters.hopGrantExpired);
-    }
-    if (!hopCounters.empty()) {
-        add("chainHops", hopCounters.size());
-        for (std::size_t i = 0; i < hopCounters.size(); ++i) {
-            const core::ProxyCounters &h = hopCounters[i];
-            std::string prefix = "hop" + std::to_string(i) + ".";
-            auto addh = [&out, &prefix](const char *name,
-                                        std::uint64_t v) {
-                out += prefix;
-                out += name;
-                out += '=';
-                out += std::to_string(v);
-                out += '\n';
-            };
-            addh("messagesIn", h.messagesIn);
-            addh("forwards", h.forwards);
-            addh("localReplies", h.localReplies);
-            addh("retransAbsorbed", h.retransAbsorbed);
-            addh("timerB408s", h.timerB408s);
-            addh("overloadRejected", h.overloadRejected);
-            addh("overloadThrottled", h.overloadThrottled);
-            addh("overloadPanicDrops", h.overloadPanicDrops);
-            addh("hopFeedbackSent", h.hopFeedbackSent);
-            addh("hopFeedbackApplied", h.hopFeedbackApplied);
-            addh("hopThrottleHolds", h.hopThrottleHolds);
-            addh("hopThrottleRejects", h.hopThrottleRejects);
-            addh("hopThrottleDrops", h.hopThrottleDrops);
-            addh("hopGrantExpired", h.hopGrantExpired);
-        }
-    }
-    // Cluster group: appended only for cluster runs, so every
-    // pre-cluster golden digest stays byte-identical.
-    if (clusterInstances > 0) {
-        add("clusterInstances",
-            static_cast<std::uint64_t>(clusterInstances));
-        add("dispMessagesIn", dispatcherStats.messagesIn);
-        add("dispRequestsRouted", dispatcherStats.requestsRouted);
-        add("dispResponsesRouted", dispatcherStats.responsesRouted);
-        add("dispRegistersRouted", dispatcherStats.registersRouted);
-        add("dispPeekFailures", dispatcherStats.peekFailures);
-        add("dispDropsNoRoute", dispatcherStats.dropsNoRoute);
-        add("dispClientConnsAccepted",
-            dispatcherStats.clientConnsAccepted);
-        add("locLocalHits", counters.locLocalHits);
-        add("locReplicaHits", counters.locReplicaHits);
-        add("locMissForwards", counters.locMissForwards);
-        add("locRegisterForwards", counters.locRegisterForwards);
-        add("locReplPushes", counters.locReplPushes);
-        add("locReplInstalls", counters.locReplInstalls);
-        for (std::size_t i = 0; i < instanceCounters.size(); ++i) {
-            const core::ProxyCounters &h = instanceCounters[i];
-            std::string prefix = "inst" + std::to_string(i) + ".";
-            auto addi = [&out, &prefix](const char *name,
-                                        std::uint64_t v) {
-                out += prefix;
-                out += name;
-                out += '=';
-                out += std::to_string(v);
-                out += '\n';
-            };
-            addi("messagesIn", h.messagesIn);
-            addi("forwards", h.forwards);
-            addi("localReplies", h.localReplies);
-            addi("registrations", h.registrations);
-            addi("locLocalHits", h.locLocalHits);
-            addi("locReplicaHits", h.locReplicaHits);
-            addi("locMissForwards", h.locMissForwards);
-            addi("locReplPushes", h.locReplPushes);
-            addi("locReplInstalls", h.locReplInstalls);
-            if (i < dispatcherStats.toInstance.size())
-                addi("dispatched", dispatcherStats.toInstance[i]);
-        }
-    }
-    out += faults.digest();
-    return out;
-}
-
-stats::MetricsRegistry
-collectMetrics(const RunResult &r)
-{
-    stats::MetricsRegistry reg;
-
-    // Phone-side counters (operations counted at the callers).
-    reg.setCounter("phone.ops", r.ops);
-    reg.setCounter("phone.callsCompleted", r.callsCompleted);
-    reg.setCounter("phone.callsFailed", r.callsFailed);
-    reg.setCounter("phone.retransmissions", r.phoneRetransmissions);
-    reg.setCounter("phone.reconnects", r.reconnects);
-    reg.setCounter("phone.reconnectFailures", r.reconnectFailures);
-    reg.setCounter("phone.rejected503", r.phoneRejected503);
-    reg.setCounter("phone.backoffs", r.phoneBackoffs);
-
-    // Run shape.
-    reg.setCounter("run.durationNs",
-                   static_cast<std::uint64_t>(
-                       r.duration > 0 ? r.duration : 0));
-    reg.setCounter("run.timedOut", r.timedOut ? 1 : 0);
-    reg.setCounter("run.occupancySamples", r.occupancy.size());
-    reg.setGauge("run.opsPerSec", r.opsPerSec);
-    reg.setGauge("run.serverUtilization", r.serverUtilization);
-    reg.setGauge("run.maxClientUtilization", r.maxClientUtilization);
-    reg.setGauge("run.inviteP50Ms", sim::toMsecs(r.inviteP50));
-    reg.setGauge("run.inviteP99Ms", sim::toMsecs(r.inviteP99));
-
-    // Proxy counters.
-    const core::ProxyCounters &c = r.counters;
-    reg.setCounter("proxy.messagesIn", c.messagesIn);
-    reg.setCounter("proxy.requestsIn", c.requestsIn);
-    reg.setCounter("proxy.responsesIn", c.responsesIn);
-    reg.setCounter("proxy.forwards", c.forwards);
-    reg.setCounter("proxy.localReplies", c.localReplies);
-    reg.setCounter("proxy.parseErrors", c.parseErrors);
-    reg.setCounter("proxy.routeFailures", c.routeFailures);
-    reg.setCounter("proxy.retransAbsorbed", c.retransAbsorbed);
-    reg.setCounter("proxy.retransSent", c.retransSent);
-    reg.setCounter("proxy.retransTimeouts", c.retransTimeouts);
-    reg.setCounter("proxy.timerB408s", c.timerB408s);
-    reg.setCounter("proxy.registrations", c.registrations);
-    reg.setCounter("proxy.authChallenges", c.authChallenges);
-    reg.setCounter("proxy.authAccepted", c.authAccepted);
-    reg.setCounter("proxy.redirects", c.redirects);
-    reg.setCounter("proxy.connsAccepted", c.connsAccepted);
-    reg.setCounter("proxy.connsDestroyed", c.connsDestroyed);
-    reg.setCounter("proxy.fdRequests", c.fdRequests);
-    reg.setCounter("proxy.fdCacheHits", c.fdCacheHits);
-    reg.setCounter("proxy.fdCacheInvalidations",
-                   c.fdCacheInvalidations);
-    reg.setCounter("proxy.outboundConnects", c.outboundConnects);
-    reg.setCounter("proxy.sendsToDeadConns", c.sendsToDeadConns);
-    reg.setCounter("proxy.idleScans", c.idleScans);
-    reg.setCounter("proxy.idleScanVisited", c.idleScanVisited);
-    reg.setCounter("proxy.connsReturnedByWorkers",
-                   c.connsReturnedByWorkers);
-    reg.setCounter("proxy.overloadRejected", c.overloadRejected);
-    reg.setCounter("proxy.overloadThrottled", c.overloadThrottled);
-    reg.setCounter("proxy.overloadPanicDrops", c.overloadPanicDrops);
-    reg.setCounter("proxy.overloadShedEnters", c.overloadShedEnters);
-    reg.setCounter("proxy.overloadShedExits", c.overloadShedExits);
-    reg.setCounter("proxy.tcpReadPauses", c.tcpReadPauses);
-    reg.setCounter("proxy.tcpReadResumes", c.tcpReadResumes);
-    reg.setCounter("proxy.tcpAcceptPauses", c.tcpAcceptPauses);
-    reg.setCounter("proxy.hopFeedbackSent", c.hopFeedbackSent);
-    reg.setCounter("proxy.hopFeedbackApplied", c.hopFeedbackApplied);
-    reg.setCounter("proxy.hopThrottleHolds", c.hopThrottleHolds);
-    reg.setCounter("proxy.hopThrottleRejects", c.hopThrottleRejects);
-    reg.setCounter("proxy.hopThrottleDrops", c.hopThrottleDrops);
-    reg.setCounter("proxy.hopGrantExpired", c.hopGrantExpired);
-    reg.setCounter("proxy.recvQueueDrops", r.proxyRecvQueueDrops);
-    reg.setCounter("proxy.acceptRefused", r.proxyAcceptRefused);
-    reg.setCounter("proxy.txnEntriesAtEnd", r.txnEntriesAtEnd);
-    reg.setCounter("proxy.retransEntriesAtEnd",
-                   r.retransEntriesAtEnd);
-    reg.setCounter("proxy.connEntriesAtEnd", r.connEntriesAtEnd);
-
-    // Server-architecture identity: the ArchKind ordinal (1 =
-    // supervisor/worker, 2 = symmetric, 3 = event-driven) and how many
-    // receive loops the resolved architecture actually ran.
-    reg.setCounter("proxy.arch.kind",
-                   static_cast<std::uint64_t>(r.archKind));
-    reg.setCounter("proxy.arch.loops",
-                   r.archLoops > 0
-                       ? static_cast<std::uint64_t>(r.archLoops)
-                       : 0);
-    reg.setCounter("proxy.arch.connsStolen", c.connsStolen);
-
-    // Chain topology: per-hop counters under proxy.hop<i>.* (edge
-    // first). Single-proxy runs emit none of these.
-    reg.setCounter("proxy.chainHops", r.hopCounters.size());
-    for (std::size_t i = 0; i < r.hopCounters.size(); ++i) {
-        const core::ProxyCounters &h = r.hopCounters[i];
-        std::string prefix = "proxy.hop" + std::to_string(i) + ".";
-        reg.setCounter(prefix + "messagesIn", h.messagesIn);
-        reg.setCounter(prefix + "forwards", h.forwards);
-        reg.setCounter(prefix + "localReplies", h.localReplies);
-        reg.setCounter(prefix + "overloadRejected", h.overloadRejected);
-        reg.setCounter(prefix + "overloadThrottled",
-                       h.overloadThrottled);
-        reg.setCounter(prefix + "overloadPanicDrops",
-                       h.overloadPanicDrops);
-        reg.setCounter(prefix + "hopFeedbackSent", h.hopFeedbackSent);
-        reg.setCounter(prefix + "hopFeedbackApplied",
-                       h.hopFeedbackApplied);
-        reg.setCounter(prefix + "hopThrottleHolds", h.hopThrottleHolds);
-        reg.setCounter(prefix + "hopThrottleRejects",
-                       h.hopThrottleRejects);
-        reg.setCounter(prefix + "hopThrottleDrops", h.hopThrottleDrops);
-        reg.setCounter(prefix + "hopGrantExpired", h.hopGrantExpired);
-    }
-
-    // Cluster topology: dispatcher front-end counters plus per-instance
-    // counters under proxy.<i>.*. Non-cluster runs emit none of these.
-    if (r.clusterInstances > 0) {
-        reg.setCounter("cluster.instances",
-                       static_cast<std::uint64_t>(r.clusterInstances));
-        const core::DispatcherStats &d = r.dispatcherStats;
-        reg.setCounter("dispatcher.messagesIn", d.messagesIn);
-        reg.setCounter("dispatcher.requestsRouted", d.requestsRouted);
-        reg.setCounter("dispatcher.responsesRouted",
-                       d.responsesRouted);
-        reg.setCounter("dispatcher.registersRouted",
-                       d.registersRouted);
-        reg.setCounter("dispatcher.peekFailures", d.peekFailures);
-        reg.setCounter("dispatcher.dropsNoRoute", d.dropsNoRoute);
-        reg.setCounter("dispatcher.clientConnsAccepted",
-                       d.clientConnsAccepted);
-        reg.setCounter("proxy.locLocalHits", c.locLocalHits);
-        reg.setCounter("proxy.locReplicaHits", c.locReplicaHits);
-        reg.setCounter("proxy.locMissForwards", c.locMissForwards);
-        reg.setCounter("proxy.locRegisterForwards",
-                       c.locRegisterForwards);
-        reg.setCounter("proxy.locReplPushes", c.locReplPushes);
-        reg.setCounter("proxy.locReplInstalls", c.locReplInstalls);
-        for (std::size_t i = 0; i < r.instanceCounters.size(); ++i) {
-            const core::ProxyCounters &h = r.instanceCounters[i];
-            std::string prefix = "proxy." + std::to_string(i) + ".";
-            reg.setCounter(prefix + "messagesIn", h.messagesIn);
-            reg.setCounter(prefix + "forwards", h.forwards);
-            reg.setCounter(prefix + "localReplies", h.localReplies);
-            reg.setCounter(prefix + "registrations", h.registrations);
-            reg.setCounter(prefix + "locLocalHits", h.locLocalHits);
-            reg.setCounter(prefix + "locReplicaHits",
-                           h.locReplicaHits);
-            reg.setCounter(prefix + "locMissForwards",
-                           h.locMissForwards);
-            reg.setCounter(prefix + "locReplPushes", h.locReplPushes);
-            reg.setCounter(prefix + "locReplInstalls",
-                           h.locReplInstalls);
-            if (i < d.toInstance.size())
-                reg.setCounter(prefix + "dispatched",
-                               d.toInstance[i]);
-        }
-    }
-
-    // Network counters.
-    reg.setCounter("net.udpSent", r.net.udpSent);
-    reg.setCounter("net.udpDelivered", r.net.udpDelivered);
-    reg.setCounter("net.udpLost", r.net.udpLost);
-    reg.setCounter("net.udpDropped", r.net.udpDropped);
-    reg.setCounter("net.tcpConnects", r.net.tcpConnects);
-    reg.setCounter("net.tcpRefused", r.net.tcpRefused);
-    reg.setCounter("net.tcpSegments", r.net.tcpSegments);
-    reg.setCounter("net.tcpBytes", r.net.tcpBytes);
-    reg.setCounter("net.sctpMessages", r.net.sctpMessages);
-    reg.setCounter("net.sctpDropped", r.net.sctpDropped);
-    reg.setCounter("net.sctpAssocs", r.net.sctpAssocs);
-    reg.setCounter("net.tlsConnects", r.net.tlsConnects);
-    reg.setCounter("net.tlsHandshakesFull", r.net.tlsHandshakesFull);
-    reg.setCounter("net.tlsHandshakesResumed",
-                   r.net.tlsHandshakesResumed);
-    reg.setCounter("net.tlsZeroRttResumes", r.net.tlsZeroRttResumes);
-    reg.setCounter("net.tlsSessionEvictions",
-                   r.net.tlsSessionEvictions);
-    reg.setCounter("net.tlsHandshakeAborts", r.net.tlsHandshakeAborts);
-    reg.setCounter("net.tlsRecords", r.net.tlsRecords);
-    reg.setCounter("net.sstMessages", r.net.sstMessages);
-    reg.setCounter("net.sstStreams", r.net.sstStreams);
-    reg.setCounter("net.sstFrames", r.net.sstFrames);
-    reg.setCounter("net.sstChannels", r.net.sstChannels);
-    reg.setCounter("net.sstDropped", r.net.sstDropped);
-    reg.setCounter("net.sstLost", r.net.sstLost);
-    reg.setCounter("net.faultDropped", r.net.faultDropped);
-    reg.setCounter("net.faultDuplicated", r.net.faultDuplicated);
-    reg.setCounter("net.faultDelayed", r.net.faultDelayed);
-    reg.setCounter("net.tcpFaultRefused", r.net.tcpFaultRefused);
-    reg.setCounter("net.tcpRstInjected", r.net.tcpRstInjected);
-    reg.setCounter("net.tcpBlackholed", r.net.tcpBlackholed);
-    reg.setCounter("net.tcpRecoveries", r.net.tcpRecoveries);
-
-    // Batched datagram I/O: syscall/message totals plus the batch-depth
-    // histogram (bucket n counts batches of exactly n messages; only
-    // occupied buckets are emitted).
-    reg.setCounter("net.batch.recvCalls", r.net.batchRecv.calls);
-    reg.setCounter("net.batch.recvMessages", r.net.batchRecv.messages);
-    reg.setCounter("net.batch.recvMaxDepth", r.net.batchRecv.maxDepth);
-    reg.setCounter("net.batch.sendCalls", r.net.batchSend.calls);
-    reg.setCounter("net.batch.sendMessages", r.net.batchSend.messages);
-    reg.setCounter("net.batch.sendMaxDepth", r.net.batchSend.maxDepth);
-    for (std::size_t i = 0; i < net::BatchIoStats::kDepthBuckets; ++i) {
-        if (r.net.batchRecv.depth[i])
-            reg.setCounter("net.batch.recvDepth."
-                               + std::to_string(i + 1),
-                           r.net.batchRecv.depth[i]);
-        if (r.net.batchSend.depth[i])
-            reg.setCounter("net.batch.sendDepth."
-                               + std::to_string(i + 1),
-                           r.net.batchSend.depth[i]);
-    }
-
-    // Retained-bytes high-water marks (sim/mem_stats.hh).
-    reg.setGauge("mem.arenaPeakBytes",
-                 static_cast<double>(r.memArenaPeak));
-    reg.setGauge("mem.eventSlabPeakBytes",
-                 static_cast<double>(r.memEventSlabPeak));
-    reg.setGauge("mem.framePoolPeakBytes",
-                 static_cast<double>(r.memFramePoolPeak));
-
-    // Injected-fault totals over every impaired link.
-    stats::LinkFaultCounters f = r.faults.total();
-    reg.setCounter("faults.offered", f.offered);
-    reg.setCounter("faults.lost", f.lost);
-    reg.setCounter("faults.duplicated", f.duplicated);
-    reg.setCounter("faults.reordered", f.reordered);
-    reg.setCounter("faults.delayed", f.delayed);
-    reg.setCounter("faults.partitionDrops", f.partitionDrops);
-    reg.setCounter("faults.partitionHeld", f.partitionHeld);
-    reg.setCounter("faults.connectsRefused", f.connectsRefused);
-    reg.setCounter("faults.rstsInjected", f.rstsInjected);
-    reg.setCounter("faults.stalledDrops", f.stalledDrops);
-    reg.setCounter("faults.recoveries", f.recoveries);
-
-    // Server CPU profile over the measured phase: one share and one
-    // milliseconds gauge per cost center that accrued any time.
-    for (const auto &line :
-         r.serverProfile.top(sim::CostCenters::count())) {
-        reg.setGauge("profile.share." + line.name, line.pct / 100.0);
-        reg.setGauge("profile.ms." + line.name,
-                     sim::toMsecs(line.time));
-    }
-    reg.setGauge("profile.totalMs",
-                 sim::toMsecs(r.serverProfile.total()));
-
-    return reg;
 }
 
 Scenario

@@ -357,6 +357,15 @@ const char kChain3UdpRateSeed42Metrics[] =
     "proxy.fdCacheInvalidations 0\n"
     "proxy.fdRequests 0\n"
     "proxy.forwards 216\n"
+    "proxy.hop0.arch.connsStolen 0\n"
+    "proxy.hop0.authAccepted 0\n"
+    "proxy.hop0.authChallenges 0\n"
+    "proxy.hop0.connsAccepted 0\n"
+    "proxy.hop0.connsDestroyed 0\n"
+    "proxy.hop0.connsReturnedByWorkers 0\n"
+    "proxy.hop0.fdCacheHits 0\n"
+    "proxy.hop0.fdCacheInvalidations 0\n"
+    "proxy.hop0.fdRequests 0\n"
     "proxy.hop0.forwards 72\n"
     "proxy.hop0.hopFeedbackApplied 48\n"
     "proxy.hop0.hopFeedbackSent 52\n"
@@ -364,11 +373,45 @@ const char kChain3UdpRateSeed42Metrics[] =
     "proxy.hop0.hopThrottleDrops 0\n"
     "proxy.hop0.hopThrottleHolds 0\n"
     "proxy.hop0.hopThrottleRejects 0\n"
+    "proxy.hop0.idleScanVisited 0\n"
+    "proxy.hop0.idleScans 0\n"
+    "proxy.hop0.locLocalHits 0\n"
+    "proxy.hop0.locMissForwards 0\n"
+    "proxy.hop0.locRegisterForwards 0\n"
+    "proxy.hop0.locReplInstalls 0\n"
+    "proxy.hop0.locReplPushes 0\n"
+    "proxy.hop0.locReplicaHits 0\n"
     "proxy.hop0.localReplies 16\n"
     "proxy.hop0.messagesIn 88\n"
+    "proxy.hop0.outboundConnects 0\n"
     "proxy.hop0.overloadPanicDrops 0\n"
     "proxy.hop0.overloadRejected 0\n"
+    "proxy.hop0.overloadShedEnters 0\n"
+    "proxy.hop0.overloadShedExits 0\n"
     "proxy.hop0.overloadThrottled 0\n"
+    "proxy.hop0.parseErrors 0\n"
+    "proxy.hop0.redirects 0\n"
+    "proxy.hop0.registrations 4\n"
+    "proxy.hop0.requestsIn 40\n"
+    "proxy.hop0.responsesIn 48\n"
+    "proxy.hop0.retransAbsorbed 0\n"
+    "proxy.hop0.retransSent 0\n"
+    "proxy.hop0.retransTimeouts 0\n"
+    "proxy.hop0.routeFailures 0\n"
+    "proxy.hop0.sendsToDeadConns 0\n"
+    "proxy.hop0.tcpAcceptPauses 0\n"
+    "proxy.hop0.tcpReadPauses 0\n"
+    "proxy.hop0.tcpReadResumes 0\n"
+    "proxy.hop0.timerB408s 0\n"
+    "proxy.hop1.arch.connsStolen 0\n"
+    "proxy.hop1.authAccepted 0\n"
+    "proxy.hop1.authChallenges 0\n"
+    "proxy.hop1.connsAccepted 0\n"
+    "proxy.hop1.connsDestroyed 0\n"
+    "proxy.hop1.connsReturnedByWorkers 0\n"
+    "proxy.hop1.fdCacheHits 0\n"
+    "proxy.hop1.fdCacheInvalidations 0\n"
+    "proxy.hop1.fdRequests 0\n"
     "proxy.hop1.forwards 72\n"
     "proxy.hop1.hopFeedbackApplied 48\n"
     "proxy.hop1.hopFeedbackSent 48\n"
@@ -376,11 +419,45 @@ const char kChain3UdpRateSeed42Metrics[] =
     "proxy.hop1.hopThrottleDrops 0\n"
     "proxy.hop1.hopThrottleHolds 0\n"
     "proxy.hop1.hopThrottleRejects 0\n"
+    "proxy.hop1.idleScanVisited 0\n"
+    "proxy.hop1.idleScans 0\n"
+    "proxy.hop1.locLocalHits 0\n"
+    "proxy.hop1.locMissForwards 0\n"
+    "proxy.hop1.locRegisterForwards 0\n"
+    "proxy.hop1.locReplInstalls 0\n"
+    "proxy.hop1.locReplPushes 0\n"
+    "proxy.hop1.locReplicaHits 0\n"
     "proxy.hop1.localReplies 12\n"
     "proxy.hop1.messagesIn 84\n"
+    "proxy.hop1.outboundConnects 0\n"
     "proxy.hop1.overloadPanicDrops 0\n"
     "proxy.hop1.overloadRejected 0\n"
+    "proxy.hop1.overloadShedEnters 0\n"
+    "proxy.hop1.overloadShedExits 0\n"
     "proxy.hop1.overloadThrottled 0\n"
+    "proxy.hop1.parseErrors 0\n"
+    "proxy.hop1.redirects 0\n"
+    "proxy.hop1.registrations 0\n"
+    "proxy.hop1.requestsIn 36\n"
+    "proxy.hop1.responsesIn 48\n"
+    "proxy.hop1.retransAbsorbed 0\n"
+    "proxy.hop1.retransSent 0\n"
+    "proxy.hop1.retransTimeouts 0\n"
+    "proxy.hop1.routeFailures 0\n"
+    "proxy.hop1.sendsToDeadConns 0\n"
+    "proxy.hop1.tcpAcceptPauses 0\n"
+    "proxy.hop1.tcpReadPauses 0\n"
+    "proxy.hop1.tcpReadResumes 0\n"
+    "proxy.hop1.timerB408s 0\n"
+    "proxy.hop2.arch.connsStolen 0\n"
+    "proxy.hop2.authAccepted 0\n"
+    "proxy.hop2.authChallenges 0\n"
+    "proxy.hop2.connsAccepted 0\n"
+    "proxy.hop2.connsDestroyed 0\n"
+    "proxy.hop2.connsReturnedByWorkers 0\n"
+    "proxy.hop2.fdCacheHits 0\n"
+    "proxy.hop2.fdCacheInvalidations 0\n"
+    "proxy.hop2.fdRequests 0\n"
     "proxy.hop2.forwards 72\n"
     "proxy.hop2.hopFeedbackApplied 0\n"
     "proxy.hop2.hopFeedbackSent 52\n"
@@ -388,11 +465,36 @@ const char kChain3UdpRateSeed42Metrics[] =
     "proxy.hop2.hopThrottleDrops 0\n"
     "proxy.hop2.hopThrottleHolds 0\n"
     "proxy.hop2.hopThrottleRejects 0\n"
+    "proxy.hop2.idleScanVisited 0\n"
+    "proxy.hop2.idleScans 0\n"
+    "proxy.hop2.locLocalHits 0\n"
+    "proxy.hop2.locMissForwards 0\n"
+    "proxy.hop2.locRegisterForwards 0\n"
+    "proxy.hop2.locReplInstalls 0\n"
+    "proxy.hop2.locReplPushes 0\n"
+    "proxy.hop2.locReplicaHits 0\n"
     "proxy.hop2.localReplies 16\n"
     "proxy.hop2.messagesIn 76\n"
+    "proxy.hop2.outboundConnects 0\n"
     "proxy.hop2.overloadPanicDrops 0\n"
     "proxy.hop2.overloadRejected 0\n"
+    "proxy.hop2.overloadShedEnters 0\n"
+    "proxy.hop2.overloadShedExits 0\n"
     "proxy.hop2.overloadThrottled 0\n"
+    "proxy.hop2.parseErrors 0\n"
+    "proxy.hop2.redirects 0\n"
+    "proxy.hop2.registrations 4\n"
+    "proxy.hop2.requestsIn 40\n"
+    "proxy.hop2.responsesIn 36\n"
+    "proxy.hop2.retransAbsorbed 0\n"
+    "proxy.hop2.retransSent 0\n"
+    "proxy.hop2.retransTimeouts 0\n"
+    "proxy.hop2.routeFailures 0\n"
+    "proxy.hop2.sendsToDeadConns 0\n"
+    "proxy.hop2.tcpAcceptPauses 0\n"
+    "proxy.hop2.tcpReadPauses 0\n"
+    "proxy.hop2.tcpReadResumes 0\n"
+    "proxy.hop2.timerB408s 0\n"
     "proxy.hopFeedbackApplied 96\n"
     "proxy.hopFeedbackSent 152\n"
     "proxy.hopGrantExpired 0\n"
@@ -401,6 +503,12 @@ const char kChain3UdpRateSeed42Metrics[] =
     "proxy.hopThrottleRejects 0\n"
     "proxy.idleScanVisited 0\n"
     "proxy.idleScans 0\n"
+    "proxy.locLocalHits 0\n"
+    "proxy.locMissForwards 0\n"
+    "proxy.locRegisterForwards 0\n"
+    "proxy.locReplInstalls 0\n"
+    "proxy.locReplPushes 0\n"
+    "proxy.locReplicaHits 0\n"
     "proxy.localReplies 44\n"
     "proxy.messagesIn 248\n"
     "proxy.outboundConnects 0\n"

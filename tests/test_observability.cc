@@ -13,8 +13,10 @@
 #include <sstream>
 #include <string>
 
+#include "counter_schema.hh"
 #include "json_check.hh"
 #include "sim/trace.hh"
+#include "workload/counters.hh"
 #include "workload/scenario.hh"
 
 namespace {
@@ -157,16 +159,41 @@ TEST(ObservabilityTest, TimelineJsonHasTheExpectedTracks)
     EXPECT_TRUE(saw_call_async);
 }
 
+/** Every counter-table row is exported under its metrics name with the
+ *  RunResult's value: aggregate proxy, network, and in a cluster the
+ *  dispatcher and each instance. */
+void
+expectMetricsCoverEveryRow(const RunResult &r)
+{
+    stats::MetricsSnapshot m = collectMetrics(r).snapshot();
+    const auto &exported = m.counters();
+    testcounters::expectEveryRow(exported, "proxy.", r.counters,
+                            counters::kProxy);
+    testcounters::expectEveryRow(exported, "net.", r.net, counters::kNet);
+    for (std::size_t i = 0; i < r.instanceCounters.size(); ++i) {
+        testcounters::expectEveryRow(exported,
+                                "proxy." + std::to_string(i) + ".",
+                                r.instanceCounters[i],
+                                counters::kProxy);
+    }
+    if (r.clusterInstances > 0) {
+        testcounters::expectEveryRow(exported, "dispatcher.",
+                                r.dispatcherStats,
+                                counters::kDispatcher);
+    }
+}
+
 TEST(ObservabilityTest, CollectMetricsMatchesRunResult)
 {
-    RunResult r = runScenario(tcpScenario(false));
-    stats::MetricsSnapshot m = collectMetrics(r).snapshot();
+    RunResult cluster = runScenario(testcounters::telemetryClusterScenario());
+    ASSERT_EQ(cluster.clusterInstances, 2);
+    expectMetricsCoverEveryRow(cluster);
 
+    RunResult r = runScenario(tcpScenario(false));
+    expectMetricsCoverEveryRow(r);
+    stats::MetricsSnapshot m = collectMetrics(r).snapshot();
     EXPECT_EQ(m.counterOr("phone.ops"), r.ops);
     EXPECT_EQ(m.counterOr("phone.callsCompleted"), r.callsCompleted);
-    EXPECT_EQ(m.counterOr("proxy.forwards"), r.counters.forwards);
-    EXPECT_EQ(m.counterOr("proxy.fdRequests"), r.counters.fdRequests);
-    EXPECT_EQ(m.counterOr("net.tcpSegments"), r.net.tcpSegments);
     EXPECT_DOUBLE_EQ(m.gaugeOr("run.opsPerSec"), r.opsPerSec);
     // Unknown names fall back to the caller's default.
     EXPECT_EQ(m.counterOr("no.such.counter", 42u), 42u);

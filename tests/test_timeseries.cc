@@ -12,12 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "counter_schema.hh"
 #include "json_check.hh"
 #include "sim/trace.hh"
 #include "stats/explain.hh"
 #include "stats/histogram.hh"
 #include "stats/metrics.hh"
 #include "stats/timeseries.hh"
+#include "workload/counters.hh"
 #include "workload/scenario.hh"
 
 namespace {
@@ -261,23 +263,34 @@ TEST(TelemetryRunTest, DisabledByDefault)
     EXPECT_EQ(r.timeseries, nullptr);
 }
 
-TEST(TelemetryRunTest, SeriesAreConsistentAndDeterministic)
+/**
+ * Run @p sc twice and check its telemetry: byte-identical artifacts,
+ * windows that tile the run with Σ deltas == totals, and every
+ * counter-table row in its series (server or proxy<i>, dispatcher, net)
+ * with an end-of-run total equal to the RunResult's value.
+ */
+workload::RunResult
+runAndCheckSeries(const workload::Scenario &sc)
 {
-    workload::RunResult r = workload::runScenario(smallScenario(50));
-    ASSERT_NE(r.timeseries, nullptr);
+    workload::RunResult r = workload::runScenario(sc);
+    EXPECT_NE(r.timeseries, nullptr);
+    if (!r.timeseries)
+        return r;
     const TimeSeries &ts = *r.timeseries;
 
     // Same seed, same scenario: byte-identical artifacts.
-    workload::RunResult r2 = workload::runScenario(smallScenario(50));
-    ASSERT_NE(r2.timeseries, nullptr);
-    EXPECT_EQ(ts.toJson(), r2.timeseries->toJson());
-    EXPECT_EQ(ts.toCsv(), r2.timeseries->toCsv());
+    workload::RunResult r2 = workload::runScenario(sc);
+    EXPECT_NE(r2.timeseries, nullptr);
+    if (r2.timeseries) {
+        EXPECT_EQ(ts.toJson(), r2.timeseries->toJson());
+        EXPECT_EQ(ts.toCsv(), r2.timeseries->toCsv());
+    }
 
     // Every series: windows tile the run and Σ deltas == totals.
-    ASSERT_FALSE(ts.series().empty());
+    EXPECT_FALSE(ts.series().empty());
     for (const auto &s : ts.series()) {
         const auto &wins = s->windows();
-        ASSERT_FALSE(wins.empty()) << s->machine();
+        EXPECT_FALSE(wins.empty()) << s->machine();
         for (std::size_t i = 0; i + 1 < wins.size(); ++i) {
             EXPECT_LT(wins[i].startNs, wins[i + 1].startNs);
             EXPECT_EQ(wins[i].endNs, wins[i + 1].startNs);
@@ -291,25 +304,53 @@ TEST(TelemetryRunTest, SeriesAreConsistentAndDeterministic)
     }
 
     // The telemetry totals agree exactly with the RunResult counters
-    // read at the same instant.
+    // read at the same instant, for every table row.
+    auto rows = [&ts](const std::string &machine) {
+        const Series *s = ts.find(machine);
+        EXPECT_NE(s, nullptr) << machine;
+        static const std::map<std::string, std::uint64_t, std::less<>>
+            kNone;
+        return s ? s->totals() : kNone;
+    };
+    testcounters::expectEveryRow(rows("net"), "net.", r.net,
+                            workload::counters::kNet);
+    if (r.clusterInstances == 0) {
+        testcounters::expectEveryRow(rows("server"), "proxy.", r.counters,
+                                workload::counters::kProxy);
+    }
+    for (std::size_t i = 0; i < r.instanceCounters.size(); ++i) {
+        testcounters::expectEveryRow(rows("proxy" + std::to_string(i)),
+                                "proxy.", r.instanceCounters[i],
+                                workload::counters::kProxy);
+    }
+    if (r.clusterInstances > 0) {
+        testcounters::expectEveryRow(rows("dispatcher"), "dispatcher.",
+                                r.dispatcherStats,
+                                workload::counters::kDispatcher);
+    }
+    const Series *phones = ts.find("phones");
+    EXPECT_NE(phones, nullptr);
+    if (phones) {
+        EXPECT_EQ(phones->totals().at("phone.ops"), r.ops);
+        EXPECT_EQ(phones->totals().at("phone.callsCompleted"),
+                  r.callsCompleted);
+    }
+    return r;
+}
+
+TEST(TelemetryRunTest, SeriesAreConsistentAndDeterministic)
+{
+    workload::RunResult cluster =
+        runAndCheckSeries(testcounters::telemetryClusterScenario());
+    EXPECT_EQ(cluster.clusterInstances, 2);
+
+    workload::RunResult r = runAndCheckSeries(smallScenario(50));
+    ASSERT_NE(r.timeseries, nullptr);
+    const TimeSeries &ts = *r.timeseries;
     const Series *server = ts.find("server");
     ASSERT_NE(server, nullptr);
     EXPECT_EQ(server->hop(), 0);
     EXPECT_EQ(server->arch(), "supervisor");
-    EXPECT_EQ(server->totals().at("proxy.messagesIn"),
-              r.counters.messagesIn);
-    EXPECT_EQ(server->totals().at("proxy.forwards"),
-              r.counters.forwards);
-    EXPECT_EQ(server->totals().at("proxy.fdRequests"),
-              r.counters.fdRequests);
-    const Series *phones = ts.find("phones");
-    ASSERT_NE(phones, nullptr);
-    EXPECT_EQ(phones->totals().at("phone.ops"), r.ops);
-    EXPECT_EQ(phones->totals().at("phone.callsCompleted"),
-              r.callsCompleted);
-    const Series *net = ts.find("net");
-    ASSERT_NE(net, nullptr);
-    EXPECT_EQ(net->totals().at("net.tcpSegments"), r.net.tcpSegments);
 
     // Serve-latency gauges appear once the proxy served anything.
     bool saw_latency = false;
