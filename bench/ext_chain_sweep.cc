@@ -111,7 +111,6 @@ main()
                 slowCosts(sc.proxy.costs, 40);
                 sc.phoneResponseTimeout = sim::msecs(1500);
                 sc.phoneRetryBackoffCap = sim::secs(2);
-                sc.sampleInterval = sim::msecs(200);
                 sc.proxy.txnLinger = sim::msecs(200);
 
                 // 3-hop chain; the destination's single worker caps it

@@ -49,7 +49,6 @@ RunResult::digest() const
     add("phoneBackoffs", phoneBackoffs);
     add("proxyRecvQueueDrops", proxyRecvQueueDrops);
     add("proxyAcceptRefused", proxyAcceptRefused);
-    add("occupancySamples", occupancy.size());
     group("", net, kNet, kBase);
     add("txnEntriesAtEnd", txnEntriesAtEnd);
     add("retransEntriesAtEnd", retransEntriesAtEnd);
@@ -127,7 +126,6 @@ collectMetrics(const RunResult &r)
                    static_cast<std::uint64_t>(
                        r.duration > 0 ? r.duration : 0));
     reg.setCounter("run.timedOut", r.timedOut ? 1 : 0);
-    reg.setCounter("run.occupancySamples", r.occupancy.size());
     reg.setGauge("run.opsPerSec", r.opsPerSec);
     reg.setGauge("run.serverUtilization", r.serverUtilization);
     reg.setGauge("run.maxClientUtilization", r.maxClientUtilization);

@@ -78,24 +78,6 @@ managerMain(sim::Process &p, Phases *phases,
     }
 }
 
-/**
- * Occupancy sampler: records the proxy's transaction-table size and
- * queue depths at a fixed period over the measured phase, giving the
- * overload benches an onset time series.
- */
-sim::Task
-samplerMain(sim::Process &p, Phases *phases, core::Proxy *proxy,
-            sim::SimTime interval, std::vector<OccupancySample> *out)
-{
-    co_await phases->start.wait(p);
-    while (!phases->finished) {
-        out->push_back({p.sim().now(), proxy->shared().txns.size(),
-                        proxy->requestQueueDepth(),
-                        proxy->recvQueueDepth()});
-        co_await p.sleepFor(interval);
-    }
-}
-
 /** Per-hop serve-latency accumulator fed by the overload controller's
  *  served sink: a histogram over the current window (reset at each
  *  boundary) plus the run-cumulative served count. */
@@ -713,18 +695,6 @@ runScenario(const Scenario &sc)
 
     World w(sc);
 
-    // The sampler watches the destination: in a chain it is the
-    // bottleneck whose signals drive the feedback (single proxy: the
-    // only one).
-    std::vector<OccupancySample> occupancy;
-    if (sc.sampleInterval > 0) {
-        w.clientMachines[0]->spawn(
-            "sampler", 0, [&](sim::Process &p) {
-                return samplerMain(p, &w.phases, &w.topo.dest(),
-                                   sc.sampleInterval, &occupancy);
-            });
-    }
-
     std::unique_ptr<Telemetry> telemetry;
     if (sc.telemetry.enabled())
         telemetry = std::make_unique<Telemetry>(w);
@@ -754,7 +724,6 @@ runScenario(const Scenario &sc)
         telemetry ? telemetry->finish() : nullptr;
     RunResult result = collect(w);
     result.timeseries = std::move(series);
-    result.occupancy = std::move(occupancy);
     w.topo.requestStop();
     return result;
 }

@@ -61,7 +61,6 @@ const char kSingleUdpSeed7[] =
     "phoneBackoffs=0\n"
     "proxyRecvQueueDrops=0\n"
     "proxyAcceptRefused=0\n"
-    "occupancySamples=0\n"
     "udpSent=172\n"
     "udpDelivered=172\n"
     "udpLost=0\n"
@@ -122,7 +121,6 @@ const char kChain3UdpRateSeed42[] =
     "phoneBackoffs=0\n"
     "proxyRecvQueueDrops=0\n"
     "proxyAcceptRefused=0\n"
-    "occupancySamples=0\n"
     "udpSent=340\n"
     "udpDelivered=340\n"
     "udpLost=0\n"
@@ -232,7 +230,6 @@ const char kChain2TcpSeed5[] =
     "phoneBackoffs=0\n"
     "proxyRecvQueueDrops=0\n"
     "proxyAcceptRefused=0\n"
-    "occupancySamples=0\n"
     "udpSent=0\n"
     "udpDelivered=0\n"
     "udpLost=0\n"
@@ -535,7 +532,6 @@ const char kChain3UdpRateSeed42Metrics[] =
     "proxy.timerB408s 0\n"
     "proxy.txnEntriesAtEnd 144\n"
     "run.durationNs 4533502\n"
-    "run.occupancySamples 0\n"
     "run.timedOut 0\n";
 
 /** The exact scenario recipe the goldens were captured with. */

@@ -3,11 +3,14 @@
  * Tests for overload control: the admission controller's hysteresis,
  * token bucket, AIMD feedback, and panic accounting at the unit level;
  * then scenario-level behaviour — 503 + Retry-After with phone
- * backoff, TCP read pause/resume, bounded receive queues, occupancy
- * sampling, and same-seed digest determinism with overload enabled.
+ * backoff, TCP read pause/resume, bounded receive queues, telemetry
+ * occupancy sampling, and same-seed digest determinism with overload
+ * enabled.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/overload.hh"
 #include "core/shared.hh"
@@ -335,17 +338,24 @@ TEST(OverloadScenarioTest, BoundedRecvQueueCountsOverflowDrops)
 
 TEST(OverloadScenarioTest, OccupancySamplingProducesTimeSeries)
 {
+    // Telemetry samples the proxy's receive queue and transaction table
+    // at every window close. The whole small scenario runs in a few ms
+    // of sim time, so the windows are the narrowest available.
     workload::Scenario sc = smallScenario(core::Transport::Udp);
-    // The whole small scenario runs in a few ms of sim time, so the
-    // sampler needs a sub-ms period to produce a series.
-    sc.sampleInterval = sim::usecs(100);
+    sc.telemetry.windowMs = 1;
 
     workload::RunResult r = workload::runScenario(sc);
-    ASSERT_GT(r.occupancy.size(), 1u);
-    for (std::size_t i = 1; i < r.occupancy.size(); ++i)
-        EXPECT_GT(r.occupancy[i].at, r.occupancy[i - 1].at);
-    EXPECT_NE(r.digest().find("occupancySamples="),
-              std::string::npos);
+    ASSERT_NE(r.timeseries, nullptr);
+    const stats::Series *server = r.timeseries->find("server");
+    ASSERT_NE(server, nullptr);
+    std::vector<sim::SimTime> sampled;
+    for (const stats::Window &w : server->windows()) {
+        if (w.gauges.count("queue.recv") && w.gauges.count("txn.records"))
+            sampled.push_back(w.endNs);
+    }
+    ASSERT_GE(sampled.size(), 2u);
+    for (std::size_t i = 1; i < sampled.size(); ++i)
+        EXPECT_GT(sampled[i], sampled[i - 1]);
 }
 
 TEST(OverloadScenarioTest, SameSeedDigestsIdenticalWithOverload)
@@ -360,7 +370,7 @@ TEST(OverloadScenarioTest, SameSeedDigestsIdenticalWithOverload)
         sc.proxy.overload.latencyHigh = sim::usecs(1);
         sc.proxy.overload.initialRate = 50;
         sc.proxy.overload.burstTokens = 1;
-        sc.sampleInterval = sim::msecs(10);
+        sc.telemetry.windowMs = 10; // a sampler process in the run
         sc.phoneRetryBackoffCap = sim::msecs(200);
         sc.seed = 42;
 
