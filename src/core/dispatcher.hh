@@ -81,7 +81,8 @@ struct DispatcherConfig
     CostModel costs;
 };
 
-/** Dispatcher counters (monotonic; read by the runner and benches). */
+/** Dispatcher counters (monotonic; read by the runner and benches).
+ *  Every counter needs a row in workload/counters.hh. */
 struct DispatcherStats
 {
     std::uint64_t messagesIn = 0;

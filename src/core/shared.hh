@@ -19,7 +19,7 @@
 namespace siprox::core {
 
 /** Aggregate proxy counters (monotonic; read by tests and benches).
- *  Every field needs a row in workload/counters.cc's table. */
+ *  Every field needs a row in workload/counters.hh. */
 struct ProxyCounters
 {
     std::uint64_t messagesIn = 0;

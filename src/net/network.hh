@@ -79,7 +79,8 @@ struct HostIoStats
     std::uint64_t bytesIn = 0;
 };
 
-/** Aggregate traffic counters, for tests and benches. */
+/** Aggregate traffic counters, for tests and benches. Every counter
+ *  needs a row in workload/counters.hh. */
 struct NetStats
 {
     std::uint64_t udpSent = 0;

@@ -541,22 +541,21 @@ collect(World &w)
     result.inviteP99 = invite.percentile(0.99);
 
     for (const auto &px : proxies) {
+        const core::SharedState &sh = px->shared();
         for (const auto &f : counters::kProxy)
-            result.counters.*(f.member) += px->shared().counters.*(f.member);
-        result.txnEntriesAtEnd += px->shared().txns.size();
-        result.retransEntriesAtEnd += px->shared().retrans.size();
-        result.connEntriesAtEnd += px->shared().conns.size();
+            result.counters.*(f.member) += sh.counters.*(f.member);
+        if (w.topo.hops() > 1)
+            result.hopCounters.push_back(sh.counters);
+        if (w.topo.cluster())
+            result.instanceCounters.push_back(sh.counters);
+        result.txnEntriesAtEnd += sh.txns.size();
+        result.retransEntriesAtEnd += sh.retrans.size();
+        result.connEntriesAtEnd += sh.conns.size();
         result.proxyRecvQueueDrops += px->recvQueueDrops();
         result.proxyAcceptRefused += px->acceptRefused();
     }
-    if (w.topo.hops() > 1) {
-        for (const auto &px : proxies)
-            result.hopCounters.push_back(px->shared().counters);
-    }
     if (w.topo.cluster()) {
         result.clusterInstances = static_cast<int>(proxies.size());
-        for (const auto &px : proxies)
-            result.instanceCounters.push_back(px->shared().counters);
         result.dispatcherStats = w.topo.dispatcher()->stats();
     }
     result.net = w.network.stats();
