@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Validate the observability artifacts probe exports.
 
-Usage: check_trace.py [--timeseries=FILE] [TRACE_JSON [METRICS_JSON]]
+Usage: check_trace.py [--timeseries=FILE] [--metrics=FILE]
+                      [TRACE_JSON [METRICS_JSON]]
 
 Checks that TRACE_JSON is a well-formed Chrome trace-event document
 with the track layout the recorder promises (machine processes, core /
@@ -17,6 +18,8 @@ increasing and contiguous within each series, counter deltas
 non-negative integers, and the sum of per-window deltas equal to the
 series' end-of-run totals for every counter — the invariant that makes
 the windows trustworthy as a decomposition of the final counters.
+
+--metrics=FILE validates a metrics snapshot without a trace.
 """
 
 import json
@@ -234,19 +237,25 @@ def check_timeseries(path):
 def main():
     args = sys.argv[1:]
     ts_path = None
+    metrics_path = None
     positional = []
     for a in args:
         if a.startswith("--timeseries="):
             ts_path = a.split("=", 1)[1]
+        elif a.startswith("--metrics="):
+            metrics_path = a.split("=", 1)[1]
         else:
             positional.append(a)
-    if (ts_path is None and not positional) or len(positional) > 2:
+    if len(positional) == 2:
+        metrics_path = positional.pop()
+    if ((ts_path is None and metrics_path is None and not positional)
+            or len(positional) > 1):
         print(__doc__, file=sys.stderr)
         sys.exit(2)
     if positional:
         check_trace(positional[0])
-    if len(positional) == 2:
-        check_metrics(positional[1])
+    if metrics_path is not None:
+        check_metrics(metrics_path)
     if ts_path is not None:
         check_timeseries(ts_path)
 
