@@ -10,10 +10,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 namespace siprox::stats {
 
@@ -28,10 +26,6 @@ struct Field
      *  (0: no digest renders the field). */
     unsigned digest = 0;
 };
-
-/** A table's rows, with S deduced from the struct argument alone. */
-template <class S>
-using Fields = std::type_identity_t<std::span<const Field<S>>>;
 
 /**
  * True when @p fields names distinct members and, with @p other_bytes of
@@ -53,10 +47,10 @@ coversEveryField(const Field<S> (&fields)[N], std::size_t other_bytes = 0)
 }
 
 /** Call put(prefix + row name, value) for every row, in table order. */
-template <class S, class Put>
+template <class S, std::size_t N, class Put>
 void
-forEachCounter(std::string_view prefix, const S &s, Fields<S> fields,
-               Put &&put)
+forEachCounter(std::string_view prefix, const S &s,
+               const Field<S> (&fields)[N], Put &&put)
 {
     std::string key(prefix);
     for (const Field<S> &f : fields) {

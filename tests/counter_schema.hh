@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -21,12 +22,12 @@ namespace siprox::testcounters {
 
 /** Check that @p exported holds "<prefix><row name>" == the row's value
  *  in @p s for every row of @p fields. */
-template <class S>
+template <class S, std::size_t N>
 void
 expectEveryRow(
     const std::map<std::string, std::uint64_t, std::less<>> &exported,
     const std::string &prefix, const S &s,
-    stats::Fields<S> fields)
+    const stats::Field<S> (&fields)[N])
 {
     for (const stats::Field<S> &f : fields) {
         const std::string name = prefix + f.name;
