@@ -523,7 +523,7 @@ collect(World &w)
     sim::SimTime end = phases.finished ? phases.measureEnd : w.simu.now();
     result.duration = end - phases.measureStart;
 
-    // Operations are counted at the callers (each transaction once).
+    // A run the cap cut short ends at its callers' last completed op.
     sim::SimTime last_op =
         std::max(phases.measureStart, sumPhones(w, result));
     if (result.timedOut)
