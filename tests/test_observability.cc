@@ -168,24 +168,25 @@ expectMetricsCoverEveryRow(const RunResult &r)
     stats::MetricsSnapshot m = collectMetrics(r).snapshot();
     const auto &exported = m.counters();
     testcounters::expectEveryRow(exported, "proxy.", r.counters,
-                            counters::kProxy);
+                                 counters::kProxy);
     testcounters::expectEveryRow(exported, "net.", r.net, counters::kNet);
     for (std::size_t i = 0; i < r.instanceCounters.size(); ++i) {
         testcounters::expectEveryRow(exported,
-                                "proxy." + std::to_string(i) + ".",
-                                r.instanceCounters[i],
-                                counters::kProxy);
+                                     "proxy." + std::to_string(i) + ".",
+                                     r.instanceCounters[i],
+                                     counters::kProxy);
     }
     if (r.clusterInstances > 0) {
         testcounters::expectEveryRow(exported, "dispatcher.",
-                                r.dispatcherStats,
-                                counters::kDispatcher);
+                                     r.dispatcherStats,
+                                     counters::kDispatcher);
     }
 }
 
 TEST(ObservabilityTest, CollectMetricsMatchesRunResult)
 {
-    RunResult cluster = runScenario(testcounters::telemetryClusterScenario());
+    RunResult cluster =
+        runScenario(testcounters::telemetryClusterScenario());
     ASSERT_EQ(cluster.clusterInstances, 2);
     expectMetricsCoverEveryRow(cluster);
 

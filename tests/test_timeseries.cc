@@ -305,28 +305,29 @@ runAndCheckSeries(const workload::Scenario &sc)
 
     // The telemetry totals agree exactly with the RunResult counters
     // read at the same instant, for every table row.
-    auto rows = [&ts](const std::string &machine) {
+    static const std::map<std::string, std::uint64_t, std::less<>>
+        kNoSeries;
+    auto totals = [&ts](const std::string &machine) -> const auto & {
         const Series *s = ts.find(machine);
         EXPECT_NE(s, nullptr) << machine;
-        static const std::map<std::string, std::uint64_t, std::less<>>
-            kNone;
-        return s ? s->totals() : kNone;
+        return s ? s->totals() : kNoSeries;
     };
-    testcounters::expectEveryRow(rows("net"), "net.", r.net,
-                            workload::counters::kNet);
+    using workload::counters::kDispatcher;
+    using workload::counters::kNet;
+    using workload::counters::kProxy;
+    testcounters::expectEveryRow(totals("net"), "net.", r.net, kNet);
     if (r.clusterInstances == 0) {
-        testcounters::expectEveryRow(rows("server"), "proxy.", r.counters,
-                                workload::counters::kProxy);
+        testcounters::expectEveryRow(totals("server"), "proxy.",
+                                     r.counters, kProxy);
     }
     for (std::size_t i = 0; i < r.instanceCounters.size(); ++i) {
-        testcounters::expectEveryRow(rows("proxy" + std::to_string(i)),
-                                "proxy.", r.instanceCounters[i],
-                                workload::counters::kProxy);
+        testcounters::expectEveryRow(totals("proxy" + std::to_string(i)),
+                                     "proxy.", r.instanceCounters[i],
+                                     kProxy);
     }
     if (r.clusterInstances > 0) {
-        testcounters::expectEveryRow(rows("dispatcher"), "dispatcher.",
-                                r.dispatcherStats,
-                                workload::counters::kDispatcher);
+        testcounters::expectEveryRow(totals("dispatcher"), "dispatcher.",
+                                     r.dispatcherStats, kDispatcher);
     }
     const Series *phones = ts.find("phones");
     EXPECT_NE(phones, nullptr);
