@@ -8,17 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.hh"
 #include "sim/simulation.hh"
 #include "sip/builders.hh"
 #include "sip/parser.hh"
+#include "sip/timers.hh"
+#include "wire_text.hh"
 
 namespace {
 
 using namespace siprox;
 using namespace siprox::core;
+using siprox::tests::crlf;
 
 class EngineTest : public ::testing::Test
 {
@@ -381,6 +386,101 @@ TEST_F(EngineTest, RedirectLeavesByeProxying)
     // A stray BYE reaching a redirect server is still forwarded.
     ASSERT_EQ(actions.size(), 1u);
     EXPECT_EQ(shared.counters.forwards, 1u);
+}
+
+// The proxy moves requests into their forwarded copies and wires into
+// its records; digests count only counters, so these goldens are what
+// catches a byte that moved on the way.
+TEST_F(EngineTest, WireBytesOfTryingForwardRelayAndReplay)
+{
+    const std::string trying = crlf({
+        "SIP/2.0 100 Trying",
+        "Via: SIP/2.0/UDP h2:6000;branch=z9hG4bK-inv-1",
+        "From: <sip:alice@h2:6000>;tag=ft",
+        "To: <sip:bob@h1:5060>",
+        "Call-ID: call-1",
+        "CSeq: 1 INVITE",
+        "Content-Length: 0",
+        "",
+        "",
+    });
+    const std::string forwarded = crlf({
+        "INVITE sip:bob@h2:16000 SIP/2.0",
+        "Via: SIP/2.0/UDP h1:5060;branch=z9hG4bK20816.1",
+        "Via: SIP/2.0/UDP h2:6000;branch=z9hG4bK-inv-1",
+        "Max-Forwards: 69",
+        "From: <sip:alice@h2:6000>;tag=ft",
+        "To: <sip:bob@h1:5060>",
+        "Call-ID: call-1",
+        "CSeq: 1 INVITE",
+        "Contact: <sip:alice@h2:6000>",
+        "User-Agent: siprox-phone/1.0",
+        "Content-Type: application/sdp",
+        "Content-Length: 145",
+        "",
+        "v=0",
+        "o=alice 2890844526 2890844526 IN IP4 h2",
+        "s=call",
+        "c=IN IP4 h2",
+        "t=0 0",
+        "m=audio 49170 RTP/AVP 0 8",
+        "a=rtpmap:0 PCMU/8000",
+        "a=rtpmap:8 PCMA/8000",
+        "",
+    });
+    const std::string relayed_ok = crlf({
+        "SIP/2.0 200 OK",
+        "Via: SIP/2.0/UDP h2:6000;branch=z9hG4bK-inv-1",
+        "From: <sip:alice@h2:6000>;tag=ft",
+        "To: <sip:bob@h1:5060>;tag=bt",
+        "Call-ID: call-1",
+        "CSeq: 1 INVITE",
+        "Contact: <sip:bob@h2:16000>",
+        "Content-Type: application/sdp",
+        "Content-Length: 143",
+        "",
+        "v=0",
+        "o=bob 2890844526 2890844526 IN IP4 h1",
+        "s=call",
+        "c=IN IP4 h1",
+        "t=0 0",
+        "m=audio 49170 RTP/AVP 0 8",
+        "a=rtpmap:0 PCMU/8000",
+        "a=rtpmap:8 PCMA/8000",
+        "",
+    });
+
+    registerBob();
+    auto first = handle(inviteMsg().serialize(), aliceAddr);
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(first[0].wire, trying);
+    EXPECT_EQ(first[1].wire, forwarded);
+
+    // A caller retransmission before any answer replays the TRYING.
+    auto again = handle(inviteMsg().serialize(), aliceAddr);
+    ASSERT_EQ(again.size(), 1u);
+    EXPECT_EQ(again[0].wire, trying);
+
+    // Timer A resends the forwarded request as first sent.
+    std::vector<RetransList::Due> due;
+    std::size_t timeouts = 0;
+    shared.retrans.collectDue(sim.now() + sip::timers::kT1, due,
+                              timeouts);
+    ASSERT_EQ(due.size(), 1u);
+    EXPECT_EQ(due[0].wire, forwarded);
+
+    // Bob's 200 is relayed upstream with the proxy's Via popped...
+    auto fwd = sip::parseMessage(first[1].wire).message;
+    sip::SipMessage ok = sip::buildResponse(
+        fwd, sip::status::kOk, "bt", sip::uriForAddr("bob", bobAddr));
+    auto relayed = handle(ok.serialize(), bobAddr);
+    ASSERT_EQ(relayed.size(), 1u);
+    EXPECT_EQ(relayed[0].wire, relayed_ok);
+
+    // ...and replayed verbatim to a later retransmission.
+    auto replay = handle(inviteMsg().serialize(), aliceAddr);
+    ASSERT_EQ(replay.size(), 1u);
+    EXPECT_EQ(replay[0].wire, relayed_ok);
 }
 
 } // namespace

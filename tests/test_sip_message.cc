@@ -6,14 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "sip/builders.hh"
 #include "sip/message.hh"
+#include "sip/parser.hh"
 #include "sip/transaction.hh"
+#include "wire_text.hh"
 
 namespace {
 
 using namespace siprox;
 using namespace siprox::sip;
+using siprox::tests::crlf;
 
 RequestSpec
 inviteSpec()
@@ -258,6 +264,228 @@ TEST(BranchGeneratorTest, GeneratesUniqueCookiePrefixedBranches)
     EXPECT_EQ(b1.substr(0, 7), std::string(kBranchCookie));
     BranchGenerator other(8);
     EXPECT_NE(other.next(), b1);
+}
+
+// --- wire-byte goldens ------------------------------------------------
+//
+// The builders render straight into the message arena and the last
+// send takes the rendered wire out of the cache; digests count only
+// counters, so these goldens are what catches a byte that moved.
+
+/**
+ * One call as the phones build it, through a proxy at h1:5060: the
+ * callee answers the INVITE as the proxy forwarded it (two Vias), and
+ * the caller ACKs and BYEs toward the callee's contact.
+ */
+struct Dialog
+{
+    SipMessage invite, ringing, ok, ack, bye, byeOk;
+};
+
+/** @p msg as a stateful proxy at h1:5060 forwards it to @p target. */
+SipMessage
+forwardedByProxy(const SipMessage &msg, const SipUri &target,
+                 const std::string &branch)
+{
+    ParseResult r = parseMessage(msg.serialize());
+    EXPECT_TRUE(r.ok);
+    r.message.setMaxForwards(r.message.maxForwards().value_or(70) - 1);
+    r.message.setRequestUri(target);
+    Via via;
+    via.transport = "UDP";
+    via.host = "h1";
+    via.port = 5060;
+    via.branch = branch;
+    r.message.prependVia(via);
+    ParseResult at_callee = parseMessage(r.message.serialize());
+    EXPECT_TRUE(at_callee.ok);
+    return at_callee.message;
+}
+
+/** @p rsp as the proxy relays it upstream: its own Via popped. */
+SipMessage
+relayedByProxy(const SipMessage &rsp)
+{
+    ParseResult r = parseMessage(rsp.serialize());
+    EXPECT_TRUE(r.ok);
+    r.message.removeFirstHeader(HeaderId::Via);
+    return r.message;
+}
+
+Dialog
+buildDialog()
+{
+    const SipUri callee_contact = *SipUri::parse("sip:callee3@h5:7003");
+    RequestSpec spec;
+    spec.method = Method::Invite;
+    spec.requestUri = *SipUri::parse("sip:callee3@h1:5060");
+    spec.from = *SipUri::parse("sip:caller3@h4:6003");
+    spec.to = *SipUri::parse("sip:callee3@h1:5060");
+    spec.fromTag = "caller3-0";
+    spec.callId = "caller3-call-0";
+    spec.cseq = 2;
+    spec.viaSentBy = *SipUri::parse("sip:h4:6003");
+    spec.branch = "z9hG4bK11400714819323198485.2";
+    spec.contact = *SipUri::parse("sip:caller3@h4:6003");
+
+    Dialog d;
+    d.invite = buildRequest(spec);
+    SipMessage at_callee =
+        forwardedByProxy(d.invite, callee_contact, "z9hG4bK20816.1");
+    d.ringing = buildResponse(at_callee, status::kRinging, "callee3-tag");
+    d.ok = buildResponse(at_callee, status::kOk, "callee3-tag",
+                         callee_contact);
+    SipMessage ok_at_caller = relayedByProxy(d.ok);
+    d.ack = buildAck(d.invite, ok_at_caller,
+                     "z9hG4bK11400714819323198485.3");
+    d.ack.setRequestUri(*ok_at_caller.contactUri());
+
+    RequestSpec bye_spec = spec;
+    bye_spec.method = Method::Bye;
+    bye_spec.requestUri = callee_contact;
+    bye_spec.cseq = 3;
+    bye_spec.branch = "z9hG4bK11400714819323198485.4";
+    bye_spec.contact.reset();
+    d.bye = buildRequest(bye_spec);
+    d.byeOk = buildResponse(
+        forwardedByProxy(d.bye, callee_contact, "z9hG4bK20816.2"),
+        status::kOk, "callee3-tag");
+    return d;
+}
+
+const std::string kSdpCaller = crlf({
+    "v=0",
+    "o=caller3 2890844526 2890844526 IN IP4 h4",
+    "s=call",
+    "c=IN IP4 h4",
+    "t=0 0",
+    "m=audio 49170 RTP/AVP 0 8",
+    "a=rtpmap:0 PCMU/8000",
+    "a=rtpmap:8 PCMA/8000",
+    "",
+});
+
+TEST(WireGoldenTest, InviteWithSdp)
+{
+    EXPECT_EQ(buildDialog().invite.serialize(),
+              crlf({
+                  "INVITE sip:callee3@h1:5060 SIP/2.0",
+                  "Via: SIP/2.0/UDP h4:6003;branch="
+                  "z9hG4bK11400714819323198485.2",
+                  "Max-Forwards: 70",
+                  "From: <sip:caller3@h4:6003>;tag=caller3-0",
+                  "To: <sip:callee3@h1:5060>",
+                  "Call-ID: caller3-call-0",
+                  "CSeq: 2 INVITE",
+                  "Contact: <sip:caller3@h4:6003>",
+                  "User-Agent: siprox-phone/1.0",
+                  "Content-Type: application/sdp",
+                  "Content-Length: 147",
+                  "",
+                  "",
+              }) + kSdpCaller);
+}
+
+TEST(WireGoldenTest, Ringing)
+{
+    EXPECT_EQ(buildDialog().ringing.serialize(),
+              crlf({
+                  "SIP/2.0 180 Ringing",
+                  "Via: SIP/2.0/UDP h1:5060;branch=z9hG4bK20816.1",
+                  "Via: SIP/2.0/UDP h4:6003;branch="
+                  "z9hG4bK11400714819323198485.2",
+                  "From: <sip:caller3@h4:6003>;tag=caller3-0",
+                  "To: <sip:callee3@h1:5060>;tag=callee3-tag",
+                  "Call-ID: caller3-call-0",
+                  "CSeq: 2 INVITE",
+                  "Content-Length: 0",
+                  "",
+                  "",
+              }));
+}
+
+TEST(WireGoldenTest, OkWithSdp)
+{
+    // The answer's SDP names the To URI's host, as it always has.
+    EXPECT_EQ(buildDialog().ok.serialize(),
+              crlf({
+                  "SIP/2.0 200 OK",
+                  "Via: SIP/2.0/UDP h1:5060;branch=z9hG4bK20816.1",
+                  "Via: SIP/2.0/UDP h4:6003;branch="
+                  "z9hG4bK11400714819323198485.2",
+                  "From: <sip:caller3@h4:6003>;tag=caller3-0",
+                  "To: <sip:callee3@h1:5060>;tag=callee3-tag",
+                  "Call-ID: caller3-call-0",
+                  "CSeq: 2 INVITE",
+                  "Contact: <sip:callee3@h5:7003>",
+                  "Content-Type: application/sdp",
+                  "Content-Length: 147",
+                  "",
+                  "v=0",
+                  "o=callee3 2890844526 2890844526 IN IP4 h1",
+                  "s=call",
+                  "c=IN IP4 h1",
+                  "t=0 0",
+                  "m=audio 49170 RTP/AVP 0 8",
+                  "a=rtpmap:0 PCMU/8000",
+                  "a=rtpmap:8 PCMA/8000",
+                  "",
+              }));
+}
+
+TEST(WireGoldenTest, Ack)
+{
+    EXPECT_EQ(buildDialog().ack.serialize(),
+              crlf({
+                  "ACK sip:callee3@h5:7003 SIP/2.0",
+                  "Via: SIP/2.0/UDP h4:6003;branch="
+                  "z9hG4bK11400714819323198485.3",
+                  "Max-Forwards: 70",
+                  "From: <sip:caller3@h4:6003>;tag=caller3-0",
+                  "To: <sip:callee3@h1:5060>;tag=callee3-tag",
+                  "Call-ID: caller3-call-0",
+                  "CSeq: 2 ACK",
+                  "Content-Length: 0",
+                  "",
+                  "",
+              }));
+}
+
+TEST(WireGoldenTest, Bye)
+{
+    EXPECT_EQ(buildDialog().bye.serialize(),
+              crlf({
+                  "BYE sip:callee3@h5:7003 SIP/2.0",
+                  "Via: SIP/2.0/UDP h4:6003;branch="
+                  "z9hG4bK11400714819323198485.4",
+                  "Max-Forwards: 70",
+                  "From: <sip:caller3@h4:6003>;tag=caller3-0",
+                  "To: <sip:callee3@h1:5060>",
+                  "Call-ID: caller3-call-0",
+                  "CSeq: 3 BYE",
+                  "User-Agent: siprox-phone/1.0",
+                  "Content-Length: 0",
+                  "",
+                  "",
+              }));
+}
+
+TEST(WireGoldenTest, OkToBye)
+{
+    EXPECT_EQ(buildDialog().byeOk.serialize(),
+              crlf({
+                  "SIP/2.0 200 OK",
+                  "Via: SIP/2.0/UDP h1:5060;branch=z9hG4bK20816.2",
+                  "Via: SIP/2.0/UDP h4:6003;branch="
+                  "z9hG4bK11400714819323198485.4",
+                  "From: <sip:caller3@h4:6003>;tag=caller3-0",
+                  "To: <sip:callee3@h1:5060>;tag=callee3-tag",
+                  "Call-ID: caller3-call-0",
+                  "CSeq: 3 BYE",
+                  "Content-Length: 0",
+                  "",
+                  "",
+              }));
 }
 
 } // namespace
