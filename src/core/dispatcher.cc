@@ -22,13 +22,6 @@ uriFromNameAddr(std::string_view value)
     return sip::SipUri::parse(value.substr(0, semi));
 }
 
-/** The address a Via header says to reply to. */
-std::optional<net::Addr>
-addrFromVia(const sip::Via &via)
-{
-    return sip::addrFromHost(via.host, via.effectivePort());
-}
-
 } // namespace
 
 const char *
@@ -192,7 +185,7 @@ Dispatcher::routeDatagram(sim::Process &p, net::Datagram dgram)
     } else {
         // Response from an instance: the top Via names the phone.
         const auto &via = pr.message.topVia();
-        auto phone = via ? addrFromVia(*via) : std::nullopt;
+        auto phone = via ? sip::addrFromVia(*via) : std::nullopt;
         if (!phone) {
             ++stats_.dropsNoRoute;
             co_return;
@@ -261,7 +254,7 @@ Dispatcher::trunkMain(sim::Process &p, int instance)
                 // request-URI is the registered contact.
                 phone = sip::addrFromUri(pr.message.requestUri());
             } else if (const auto &via = pr.message.topVia()) {
-                phone = addrFromVia(*via);
+                phone = sip::addrFromVia(*via);
             }
             if (!phone) {
                 ++stats_.dropsNoRoute;
@@ -321,7 +314,7 @@ Dispatcher::clientConnMain(sim::Process &p,
                 // Via sent-by (responses) and, on REGISTER, the Contact
                 // (requests forwarded toward the callee).
                 if (const auto &via = pr.message.topVia()) {
-                    if (auto a = addrFromVia(*via))
+                    if (auto a = sip::addrFromVia(*via))
                         clientByAddr_[*a] = conn;
                 }
                 if (pr.message.method() == sip::Method::Register) {
@@ -344,7 +337,7 @@ Dispatcher::clientConnMain(sim::Process &p,
                 // Response from a phone: the top Via names the
                 // instance whose trunk it rides back on.
                 const auto &via = pr.message.topVia();
-                auto a = via ? addrFromVia(*via) : std::nullopt;
+                auto a = via ? sip::addrFromVia(*via) : std::nullopt;
                 auto it = a ? instanceByAddr_.find(*a)
                             : instanceByAddr_.end();
                 if (!a || it == instanceByAddr_.end()) {

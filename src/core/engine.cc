@@ -24,13 +24,6 @@ uriFromNameAddr(std::string_view value)
     return sip::SipUri::parse(value.substr(0, semi));
 }
 
-/** The address a Via header says to reply to. */
-std::optional<net::Addr>
-addrFromVia(const sip::Via &via)
-{
-    return sip::addrFromHost(via.host, via.effectivePort());
-}
-
 } // namespace
 
 const char *
@@ -162,7 +155,7 @@ Engine::refreshAlias(sim::Process &p, const sip::SipMessage &msg,
     const auto &via = msg.topVia();
     if (!via)
         co_return;
-    auto addr = addrFromVia(*via);
+    auto addr = sip::addrFromVia(*via);
     if (!addr)
         co_return;
     co_await shared_.conns.lock().acquire(p);
@@ -194,7 +187,7 @@ Engine::checkAuth(sim::Process &p, const sip::SipMessage &msg,
         attachHopFeedback(rsp, p.sim().now());
         co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
         SendAction action;
-        action.wire = rsp.serialize();
+        action.wire = rsp.takeSerialized();
         action.dstAddr = src.addr;
         action.dstConnId = src.connId;
         action.toUpstream = true;
@@ -272,7 +265,7 @@ Engine::replyTo(sim::Process &p, const sip::SipMessage &req, int status,
     attachHopFeedback(rsp, p.sim().now());
     co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
     SendAction action;
-    action.wire = rsp.serialize();
+    action.wire = rsp.takeSerialized();
     action.dstAddr = src.addr;
     action.dstConnId = src.connId;
     action.toUpstream = true;
@@ -348,10 +341,12 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
                       MsgSource src, std::vector<SendAction> *out)
 {
     const bool stateful = cfg_.stateful;
-    const bool is_invite = msg.method() == sip::Method::Invite;
-    const bool is_ack = msg.method() == sip::Method::Ack;
+    const sip::Method method = msg.method();
+    const bool is_invite = method == sip::Method::Invite;
+    const bool is_ack = method == sip::Method::Ack;
 
-    auto key = sip::transactionKey(msg);
+    // Views msg's bytes, which the forwarded copy below keeps alive.
+    auto key = sip::transactionKeyView(msg);
     if (stateful && key) {
         co_await shared_.txns.lock().acquire(p);
         co_await p.cpu(scaled(cfg_.costs.txnLookup), ccTm_);
@@ -416,7 +411,7 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
             attachHopFeedback(rsp, p.sim().now());
             co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
             SendAction action;
-            action.wire = rsp.serialize();
+            action.wire = rsp.takeSerialized();
             action.dstAddr = src.addr;
             action.dstConnId = src.connId;
             action.toUpstream = true;
@@ -448,7 +443,7 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
                 attachHopFeedback(rsp, p.sim().now());
                 co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
                 SendAction action;
-                action.wire = rsp.serialize();
+                action.wire = rsp.takeSerialized();
                 action.dstAddr = src.addr;
                 action.dstConnId = src.connId;
                 action.toUpstream = true;
@@ -459,7 +454,8 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
         }
     }
 
-    // A stateful proxy takes responsibility with 100 Trying (§2 step 2).
+    // A stateful proxy takes responsibility with 100 Trying (§2 step 2);
+    // the transaction record keeps a copy for replays.
     std::string trying_wire;
     if (stateful && is_invite) {
         co_await replyTo(p, msg, sip::status::kTrying, src, out);
@@ -477,7 +473,7 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
         target = msg.requestUri();
         dst = cfg_.nextHop;
     } else {
-        const std::string user = msg.requestUri().user;
+        const std::string &user = msg.requestUri().user;
 
         // Cluster path: when another instance's shard owns the callee,
         // either serve from the async-replicated local copy (stale
@@ -542,7 +538,7 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
         }
     }
 
-    // Redirect-server mode (paper Â§2): remove ourselves from the
+    // Redirect-server mode (paper §2): remove ourselves from the
     // transaction by handing the caller the registered contact.
     if (cfg_.redirect && is_invite) {
         ++shared_.counters.redirects;
@@ -551,7 +547,7 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
         attachHopFeedback(rsp, p.sim().now());
         co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
         SendAction action;
-        action.wire = rsp.serialize();
+        action.wire = rsp.takeSerialized();
         action.dstAddr = src.addr;
         action.dstConnId = src.connId;
         action.toUpstream = true;
@@ -568,27 +564,21 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
             shared_.hopGate.noteAborted(cfg_.nextHop);
         co_return; // loop guard: drop
     }
-    sip::SipMessage fwd = msg;
+    sip::SipMessage fwd = std::move(msg);
     fwd.setMaxForwards(mf - 1);
-    fwd.setRequestUri(target);
+    fwd.setRequestUri(std::move(target));
     std::string branch = branches_.next();
-    sip::Via via;
-    via.transport = viaTransport();
-    via.host = viaHost_;
-    via.port = proxyAddr_.port;
-    via.branch = branch;
-    fwd.prependVia(via);
+    fwd.prependVia(
+        sip::ViaView{viaTransport(), viaHost_, proxyAddr_.port, branch});
     co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-    std::string wire = fwd.serialize();
+    std::string wire = fwd.takeSerialized();
 
     // --- transaction state -------------------------------------------------
-    sip::TransactionKey client_key{branch, is_ack ? sip::Method::Ack
-                                                  : msg.method()};
     if (stateful && key && !is_ack) {
         TxnRecord record;
-        record.serverKey = *key;
-        record.clientKey = client_key;
-        record.method = msg.method();
+        record.serverKey = {std::string(key->branch), key->method};
+        record.clientKey = {std::move(branch), method};
+        record.method = method;
         record.upstreamAddr = src.addr;
         record.upstreamConnId = src.connId;
         record.createdAt = p.sim().now();
@@ -596,17 +586,17 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
         hop_gated = false; // the record now owns the window slot
         // The TRYING absorbs caller-side INVITE retransmissions until
         // a downstream response replaces it.
-        record.lastResponse = trying_wire;
+        record.lastResponse = std::move(trying_wire);
         co_await shared_.txns.lock().acquire(p);
         co_await p.cpu(scaled(cfg_.costs.txnCreate), ccTm_);
-        shared_.txns.insert(std::move(record));
+        auto rec = shared_.txns.insert(std::move(record));
         shared_.txns.lock().release();
 
         if (unreliable()) {
             // The proxy now owns retransmission (§2): arm a timer on
             // the global list for the forwarded request.
             RetransList::Entry entry;
-            entry.key = client_key;
+            entry.key = rec->clientKey;
             entry.wire = wire;
             entry.dst = *dst;
             entry.interval = sip::timers::kT1;
@@ -657,7 +647,7 @@ Engine::handleTimeout(sim::Process &p, const RetransList::TimedOut &to,
     rsp.removeFirstHeader(sip::HeaderId::Via);
     attachHopFeedback(rsp, p.sim().now());
     co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-    std::string wire = rsp.serialize();
+    std::string wire = rsp.takeSerialized();
 
     co_await shared_.txns.lock().acquire(p);
     co_await p.cpu(scaled(cfg_.costs.txnLookup), ccTm_);
@@ -718,7 +708,9 @@ Engine::handleResponse(sim::Process &p, sip::SipMessage msg,
         ++shared_.counters.parseErrors;
         co_return;
     }
-    auto key = sip::transactionKey(msg); // keyed by our branch
+    // Keyed by our branch; the view outlives the Via pop below (the
+    // bytes stay in msg's arena).
+    auto key = sip::transactionKeyView(msg);
     msg.removeFirstHeader(sip::HeaderId::Via);
 
     // A chained stateful proxy absorbs the next hop's 100 Trying: it
@@ -765,7 +757,7 @@ Engine::handleResponse(sim::Process &p, sip::SipMessage msg,
             // Store the forwarded response for retransmission replay.
             attachHopFeedback(msg, p.sim().now());
             co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-            std::string wire = msg.serialize();
+            std::string wire = msg.takeSerialized();
             co_await shared_.txns.lock().acquire(p);
             rec->lastResponse = wire;
             shared_.txns.lock().release();
@@ -790,7 +782,7 @@ Engine::handleResponse(sim::Process &p, sip::SipMessage msg,
         ++shared_.counters.routeFailures;
         co_return;
     }
-    auto via_addr = addrFromVia(*next);
+    auto via_addr = sip::addrFromVia(*next);
     if (!via_addr) {
         ++shared_.counters.routeFailures;
         co_return;
@@ -802,7 +794,7 @@ Engine::handleResponse(sim::Process &p, sip::SipMessage msg,
     attachHopFeedback(msg, p.sim().now());
     co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
     SendAction action;
-    action.wire = msg.serialize();
+    action.wire = msg.takeSerialized();
     action.dstAddr = dst;
     action.dstConnId = dst_conn;
     action.toUpstream = true;

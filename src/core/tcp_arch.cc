@@ -223,7 +223,7 @@ TcpArch::workerReadConn(sim::Process &p, Worker &w,
 sim::Task
 TcpArch::workerSend(sim::Process &p, Worker &w, SendAction action)
 {
-    // Â§5.2 fast path: a cached descriptor for a known connection skips
+    // §5.2 fast path: a cached descriptor for a known connection skips
     // the shared hash entirely -- the cache maps connection object to
     // fd directly, and the timestamp refresh is an unlocked single-word
     // store (as OpenSER's are).

@@ -27,6 +27,23 @@ namespace siprox::core {
 
 using sim::SimTime;
 
+/**
+ * Map @p key to @p value in a table keyed by views, where @p key is
+ * stored in whatever @p value refers to. A key already present is
+ * re-keyed to @p key, so each node's key always views the object its
+ * value refers to and no view outlives the string it points into.
+ */
+template <class Map, class Value>
+void
+bindKey(Map &map, const sip::TransactionKey &key, const Value &value)
+{
+    auto [it, fresh] = map.try_emplace(key, value);
+    if (!fresh) {
+        map.erase(it);
+        map.emplace(key, value);
+    }
+}
+
 /** Proxy-side state for one SIP transaction. */
 struct TxnRecord
 {
@@ -62,7 +79,9 @@ struct TxnRecord
 };
 
 /**
- * Hash table of in-flight transactions, addressable by both keys.
+ * Hash table of in-flight transactions, addressable by both keys. The
+ * keys are stored once, in the record: each map node's key views the
+ * branch of the record it maps to.
  */
 class TxnTable
 {
@@ -72,7 +91,7 @@ class TxnTable
     /** All methods below require the lock to be held. */
 
     std::shared_ptr<TxnRecord>
-    find(const sip::TransactionKey &key)
+    find(sip::TransactionKeyView key)
     {
         auto it = map_.find(key);
         return it == map_.end() ? nullptr : it->second;
@@ -82,8 +101,8 @@ class TxnTable
     insert(TxnRecord record)
     {
         auto rec = std::make_shared<TxnRecord>(std::move(record));
-        map_[rec->serverKey] = rec;
-        map_[rec->clientKey] = rec;
+        bindKey(map_, rec->serverKey, rec);
+        bindKey(map_, rec->clientKey, rec);
         return rec;
     }
 
@@ -123,7 +142,7 @@ class TxnTable
     };
 
     sim::SpinLock lock_{"txn_hash"};
-    std::unordered_map<sip::TransactionKey, std::shared_ptr<TxnRecord>,
+    std::unordered_map<sip::TransactionKeyView, std::shared_ptr<TxnRecord>,
                        sip::TransactionKeyHash>
         map_;
     std::deque<Expiry> expiry_;
@@ -174,12 +193,12 @@ class RetransList
     {
         entries_.push_back(std::move(entry));
         auto it = std::prev(entries_.end());
-        index_[it->key] = it;
+        bindKey(index_, it->key, it);
     }
 
     /** Mark the entry for @p key cancelled; true if it existed. */
     bool
-    cancel(const sip::TransactionKey &key)
+    cancel(sip::TransactionKeyView key)
     {
         auto it = index_.find(key);
         if (it == index_.end())
@@ -212,7 +231,8 @@ class RetransList
   private:
     sim::SpinLock lock_{"timer_list"};
     std::list<Entry> entries_;
-    std::unordered_map<sip::TransactionKey, std::list<Entry>::iterator,
+    /** Keyed by views of the entries' own keys (see bindKey()). */
+    std::unordered_map<sip::TransactionKeyView, std::list<Entry>::iterator,
                        sip::TransactionKeyHash>
         index_;
 };

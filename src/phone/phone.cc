@@ -95,7 +95,7 @@ class Phone::Link
         sim::SimTime deadline = timeout == sim::kTimeNever
             ? sim::kTimeNever
             : p.sim().now() + timeout;
-        std::vector<sim::Pollable *> items;
+        std::vector<sim::Pollable *> &items = pollItems_;
         while (ready_.empty()) {
             items.clear();
             if (udp_) {
@@ -261,6 +261,8 @@ class Phone::Link
     std::unique_ptr<TcpFlow> active_;
     std::vector<std::unique_ptr<TcpFlow>> zombies_;
     std::deque<std::string> ready_;
+    /** recv()'s poll set, kept to reuse its storage. */
+    std::vector<sim::Pollable *> pollItems_;
 };
 
 // ---------------------------------------------------------------------------
@@ -360,7 +362,7 @@ Phone::doRegister(sim::Process &p, bool *ok)
     requestDst_ = net::Addr{}; // registrations always go to the proxy
     std::optional<sip::SipMessage> rsp;
     sip::SipMessage sent_req;
-    co_await transact(p, std::move(spec), &rsp, &sent_req);
+    co_await transact(p, spec, &rsp, &sent_req);
     if (rsp && rsp->isSuccess()) {
         ++stats_.registers;
         *ok = true;
@@ -374,7 +376,6 @@ Phone::awaitFinal(sim::Process &p, const sip::SipMessage &request,
 {
     out->reset();
     const bool udp = cfg_.transport == core::Transport::Udp;
-    const std::string wire = request.serialize();
     sim::SimTime deadline = p.sim().now() + cfg_.responseTimeout;
     sim::SimTime interval =
         udp ? sip::timers::kT1 : cfg_.responseTimeout;
@@ -392,16 +393,18 @@ Phone::awaitFinal(sim::Process &p, const sip::SipMessage &request,
             // response told us the proxy has taken over (§2).
             if (udp && !got_provisional
                 && p.sim().now() < deadline) {
+                // Rendered only now: most requests never retransmit.
                 ++stats_.retransmissions;
                 bool sent = false;
-                co_await link_->send(p, wire, &sent, requestDst_);
+                co_await link_->send(p, request.serialize(), &sent,
+                                     requestDst_);
                 interval = std::min<sim::SimTime>(interval * 2,
                                                   sip::timers::kT2);
             }
             continue;
         }
         co_await p.cpu(cfg_.processCost, kPhoneCc);
-        auto parsed = sip::parseMessage(raw);
+        auto parsed = sip::parseOwned(std::move(raw));
         if (!parsed.ok) {
             ++stats_.strayMessages;
             continue;
@@ -410,7 +413,7 @@ Phone::awaitFinal(sim::Process &p, const sip::SipMessage &request,
         if (msg.isRequest()) {
             // Do not drop requests racing a response (e.g. the next
             // INVITE arriving during a post-reconnect REGISTER).
-            pendingRequests_.push_back(std::move(raw));
+            pendingRequests_.push_back(std::move(msg));
             continue;
         }
         auto cseq = msg.cseq();
@@ -431,15 +434,14 @@ Phone::awaitFinal(sim::Process &p, const sip::SipMessage &request,
 namespace {
 
 /** The address a request's top Via says responses go to (RFC 3261
- *  Â§18.2.2); invalid if it is not an h<id> simulated address. */
+ *  §18.2.2); invalid if it is not an h<id> simulated address. */
 net::Addr
 viaAddr(const sip::SipMessage &msg)
 {
     const auto &via = msg.topVia();
     if (!via)
         return {};
-    return sip::addrFromHost(via->host, via->effectivePort())
-        .value_or(net::Addr{});
+    return sip::addrFromVia(*via).value_or(net::Addr{});
 }
 
 /** Seconds a 503's Retry-After asks us to wait (RFC 3261 §21.5.4);
@@ -472,28 +474,27 @@ nonceFrom(const sip::SipMessage &rsp)
 } // namespace
 
 sim::Task
-Phone::transact(sim::Process &p, sip::RequestSpec spec,
+Phone::transact(sim::Process &p, sip::RequestSpec &spec,
                 std::optional<sip::SipMessage> *rsp,
                 sip::SipMessage *sent)
 {
     for (int attempt = 0; attempt < 2; ++attempt) {
-        sip::SipMessage msg = sip::buildRequest(spec);
+        *sent = sip::buildRequest(spec);
         if (!authNonce_.empty()) {
-            msg.setHeader("Authorization",
-                          "Digest username=\"" + cfg_.user
-                              + "\", nonce=\"" + authNonce_
-                              + "\", response=\"0badcafe\"");
+            sent->setHeader("Authorization",
+                            "Digest username=\"" + cfg_.user
+                                + "\", nonce=\"" + authNonce_
+                                + "\", response=\"0badcafe\"");
         }
-        *sent = msg;
         co_await p.cpu(cfg_.processCost, kPhoneCc);
         bool send_ok = false;
-        co_await link_->send(p, msg.serialize(), &send_ok,
+        co_await link_->send(p, sent->takeSerialized(), &send_ok,
                              requestDst_);
         if (!send_ok) {
             rsp->reset();
             co_return;
         }
-        co_await awaitFinal(p, msg, spec.callId, spec.method, rsp);
+        co_await awaitFinal(p, *sent, spec.callId, spec.method, rsp);
         if (!*rsp
             || (*rsp)->statusCode() != sip::status::kUnauthorized) {
             co_return;
@@ -548,7 +549,7 @@ Phone::placeCall(sim::Process &p, const std::string &callee_user,
     if (final_rsp
         && final_rsp->statusCode() == sip::status::kMovedTemporarily
         && !core::isStreamTransport(cfg_.transport)) {
-        // Redirect server (paper Â§2): re-issue the INVITE straight to
+        // Redirect server (paper §2): re-issue the INVITE straight to
         // the contact; the rest of the call bypasses the server.
         auto contact = final_rsp->contactUri();
         auto direct = contact ? sip::addrFromUri(*contact)
@@ -580,13 +581,13 @@ Phone::placeCall(sim::Process &p, const std::string &callee_user,
         ack.setRequestUri(*contact);
     co_await p.cpu(cfg_.processCost, kPhoneCc);
     bool sent = false;
-    co_await link_->send(p, ack.serialize(), &sent, requestDst_);
+    co_await link_->send(p, ack.takeSerialized(), &sent, requestDst_);
     stats_.inviteLatency.record(p.sim().now() - t0);
     opDone(p.sim().now());
 
     // --- BYE transaction ------------------------------------------------
     sim::SimTime t1 = p.sim().now();
-    sip::RequestSpec bye_spec = spec;
+    sip::RequestSpec bye_spec = std::move(spec);
     bye_spec.method = sip::Method::Bye;
     if (auto contact = final_rsp->contactUri())
         bye_spec.requestUri = *contact;
@@ -595,7 +596,7 @@ Phone::placeCall(sim::Process &p, const std::string &callee_user,
     bye_spec.contact.reset();
     std::optional<sip::SipMessage> bye_rsp;
     sip::SipMessage bye;
-    co_await transact(p, std::move(bye_spec), &bye_rsp, &bye);
+    co_await transact(p, bye_spec, &bye_rsp, &bye);
     if (bye_rsp
         && bye_rsp->statusCode() == sip::status::kServiceUnavailable) {
         ++stats_.rejected503;
@@ -667,9 +668,10 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
     const bool udp = cfg_.transport == core::Transport::Udp;
     const std::string to_tag = cfg_.user + "-tag";
     int completed = 0;
-    std::string current_call;  // Call-ID being serviced
-    std::string ok200_wire;    // for retransmission until ACK
-    net::Addr ok200_dst;       // where the 200 goes (top Via)
+    std::string current_call; // Call-ID being serviced
+    // The 200 OK, re-rendered for each retransmission until the ACK.
+    std::optional<sip::SipMessage> ok200;
+    net::Addr ok200_dst;      // where the 200 goes (top Via)
     bool awaiting_ack = false;
     sim::SimTime retrans_at = sim::kTimeNever;
     sim::SimTime retrans_interval = sip::timers::kT1;
@@ -678,46 +680,51 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
         sim::SimTime timeout = sim::kTimeNever;
         if (awaiting_ack && udp)
             timeout = retrans_at - p.sim().now();
-        std::string raw;
+        sip::SipMessage msg;
         if (!pendingRequests_.empty()) {
-            raw = std::move(pendingRequests_.front());
+            // Parsed, and known to be a request, while a transaction
+            // awaited its response.
+            msg = std::move(pendingRequests_.front());
             pendingRequests_.pop_front();
+            co_await p.cpu(cfg_.processCost, kPhoneCc);
         } else {
+            std::string raw;
             co_await link_->recv(
                 p, &raw,
                 timeout == sim::kTimeNever
                     ? sim::kTimeNever
                     : std::max<sim::SimTime>(timeout, 0));
-        }
-        if (raw.empty()) {
-            // Retransmit 200 OK until the ACK arrives (UAS, §2).
-            if (awaiting_ack && udp && !ok200_wire.empty()) {
-                ++stats_.retransmissions;
-                bool sent = false;
-                co_await link_->send(p, ok200_wire, &sent, ok200_dst);
-                retrans_interval =
-                    std::min<sim::SimTime>(retrans_interval * 2,
-                                           sip::timers::kT2);
-                retrans_at = p.sim().now() + retrans_interval;
+            if (raw.empty()) {
+                // Retransmit 200 OK until the ACK arrives (UAS, §2).
+                if (awaiting_ack && udp && ok200) {
+                    ++stats_.retransmissions;
+                    bool sent = false;
+                    co_await link_->send(p, ok200->takeSerialized(),
+                                         &sent, ok200_dst);
+                    retrans_interval =
+                        std::min<sim::SimTime>(retrans_interval * 2,
+                                               sip::timers::kT2);
+                    retrans_at = p.sim().now() + retrans_interval;
+                }
+                continue;
             }
-            continue;
-        }
-        co_await p.cpu(cfg_.processCost, kPhoneCc);
-        auto parsed = sip::parseOwned(std::move(raw));
-        if (!parsed.ok) {
-            ++stats_.strayMessages;
-            continue;
-        }
-        sip::SipMessage &msg = parsed.message;
-        if (!msg.isRequest()) {
-            ++stats_.strayMessages;
-            continue;
+            co_await p.cpu(cfg_.processCost, kPhoneCc);
+            auto parsed = sip::parseOwned(std::move(raw));
+            if (!parsed.ok) {
+                ++stats_.strayMessages;
+                continue;
+            }
+            msg = std::move(parsed.message);
+            if (!msg.isRequest()) {
+                ++stats_.strayMessages;
+                continue;
+            }
         }
         switch (msg.method()) {
           case sip::Method::Invite: {
-            std::string cid(msg.callId());
-            bool duplicate = awaiting_ack && cid == current_call;
-            current_call = cid;
+            const bool duplicate =
+                awaiting_ack && msg.callId() == current_call;
+            current_call.assign(msg.callId());
             // Responses follow the request's top Via: the proxy when
             // proxied, the caller directly after a redirect.
             ok200_dst = viaAddr(msg);
@@ -727,19 +734,19 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
                                        to_tag);
                 bool sent = false;
                 co_await p.cpu(cfg_.processCost, kPhoneCc);
-                co_await link_->send(p, ringing.serialize(), &sent,
+                co_await link_->send(p, ringing.takeSerialized(), &sent,
                                      ok200_dst);
                 if (cfg_.answerDelay > 0)
                     co_await p.sleepFor(cfg_.answerDelay);
-                sip::SipMessage ok200 = sip::buildResponse(
-                    msg, sip::status::kOk, to_tag, contactUri());
-                ok200_wire = ok200.serialize();
+                ok200 = sip::buildResponse(msg, sip::status::kOk, to_tag,
+                                           contactUri());
             } else {
                 ++stats_.retransmissions;
             }
             bool sent = false;
             co_await p.cpu(cfg_.processCost, kPhoneCc);
-            co_await link_->send(p, ok200_wire, &sent, ok200_dst);
+            co_await link_->send(p, ok200->takeSerialized(), &sent,
+                                 ok200_dst);
             awaiting_ack = true;
             retrans_interval = sip::timers::kT1;
             retrans_at = p.sim().now() + retrans_interval;
@@ -765,7 +772,7 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
                 msg, sip::status::kOk, to_tag);
             bool sent = false;
             co_await p.cpu(cfg_.processCost, kPhoneCc);
-            co_await link_->send(p, ok.serialize(), &sent,
+            co_await link_->send(p, ok.takeSerialized(), &sent,
                                  viaAddr(msg));
             if (!current_call.empty() && msg.callId() == current_call) {
                 opDone(p.sim().now()); // bye transaction complete

@@ -154,10 +154,11 @@ class Phone
     /**
      * Build, send, and await the final response for a request,
      * transparently answering one 401 digest challenge (the request is
-     * resent with credentials and an incremented CSeq).
+     * resent with credentials and an incremented CSeq, which @p spec
+     * then carries along with the new branch).
      * @param sent Receives the request as last transmitted.
      */
-    sim::Task transact(sim::Process &p, sip::RequestSpec spec,
+    sim::Task transact(sim::Process &p, sip::RequestSpec &spec,
                        std::optional<sip::SipMessage> *rsp,
                        sip::SipMessage *sent);
 
@@ -192,8 +193,9 @@ class Phone
      *  points this at the callee directly for the rest of the call. */
     net::Addr requestDst_{};
     /** Requests received while awaiting a response (e.g. an INVITE
-     *  arriving during a re-REGISTER); replayed to the callee loop. */
-    std::deque<std::string> pendingRequests_;
+     *  arriving during a re-REGISTER), already parsed; replayed to the
+     *  callee loop. */
+    std::deque<sip::SipMessage> pendingRequests_;
 };
 
 } // namespace siprox::phone

@@ -50,9 +50,10 @@ class Pollable
     void
     notifyPollWaiters()
     {
-        // Waiters deregister themselves; iterate over a copy.
-        auto waiters = pollWaiters_;
-        for (Process *p : waiters)
+        // Waiters deregister themselves only once they resume, and
+        // Process::wake() just schedules that resume, so the live list
+        // cannot change under this loop.
+        for (Process *p : pollWaiters_)
             p->wake();
     }
 

@@ -51,7 +51,7 @@ SipMessage buildResponse(const SipMessage &req, int status,
  * supplied by the caller; non-2xx ACK reuses the INVITE branch).
  */
 SipMessage buildAck(const SipMessage &invite, const SipMessage &final,
-                    const std::string &branch);
+                    std::string_view branch);
 
 /** A small realistic SDP body for INVITE/200 OK. */
 std::string defaultSdp(const SipUri &origin);

@@ -1,7 +1,7 @@
 #include "sip/message.hh"
 
-#include <cctype>
 #include <charconv>
+#include <stdexcept>
 
 namespace siprox::sip {
 
@@ -25,10 +25,8 @@ iequals(std::string_view a, std::string_view b)
     if (a.size() != b.size())
         return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::tolower(static_cast<unsigned char>(a[i]))
-            != std::tolower(static_cast<unsigned char>(b[i]))) {
+        if (asciiLower(a[i]) != asciiLower(b[i]))
             return false;
-        }
     }
     return true;
 }
@@ -187,19 +185,19 @@ reasonPhrase(int status)
     }
 }
 
-std::optional<Via>
-Via::parse(std::string_view text)
+std::optional<ViaView>
+ViaView::parse(std::string_view text)
 {
     // "SIP/2.0/UDP host:port;branch=..."
     text = trim(text);
     if (text.substr(0, 8) != "SIP/2.0/")
         return std::nullopt;
     text.remove_prefix(8);
-    Via via;
+    ViaView via;
     auto sp = text.find(' ');
     if (sp == std::string_view::npos)
         return std::nullopt;
-    via.transport = std::string(text.substr(0, sp));
+    via.transport = text.substr(0, sp);
     text.remove_prefix(sp + 1);
 
     auto semi = text.find(';');
@@ -209,9 +207,9 @@ Via::parse(std::string_view text)
                                        : text.substr(semi + 1);
     auto colon = hostport.find(':');
     if (colon == std::string_view::npos) {
-        via.host = std::string(hostport);
+        via.host = hostport;
     } else {
-        via.host = std::string(hostport.substr(0, colon));
+        via.host = hostport.substr(0, colon);
         auto p = hostport.substr(colon + 1);
         unsigned v = 0;
         auto [ptr, ec] = std::from_chars(p.data(), p.data() + p.size(), v);
@@ -229,38 +227,83 @@ Via::parse(std::string_view text)
             ? std::string_view{}
             : params.substr(next + 1);
         if (param.substr(0, 7) == "branch=")
-            via.branch = std::string(param.substr(7));
+            via.branch = param.substr(7);
     }
     return via;
+}
+
+namespace {
+
+/** Decimal rendering of a port (no terminator). */
+std::string_view
+portDigits(std::uint16_t port, char (&buf)[8])
+{
+    auto end = std::to_chars(buf, buf + sizeof(buf), port).ptr;
+    return {buf, static_cast<std::size_t>(end - buf)};
+}
+
+} // namespace
+
+std::size_t
+ViaView::renderedSize() const
+{
+    char buf[8];
+    return 8 + transport.size() + 1 + host.size()
+        + (port ? 1 + portDigits(port, buf).size() : 0)
+        + (branch.empty() ? 0 : 8 + branch.size());
+}
+
+char *
+ViaView::renderTo(char *out) const
+{
+    auto put = [&out](std::string_view s) {
+        std::memcpy(out, s.data(), s.size());
+        out += s.size();
+    };
+    put("SIP/2.0/");
+    put(transport);
+    *out++ = ' ';
+    put(host);
+    if (port) {
+        char buf[8];
+        *out++ = ':';
+        put(portDigits(port, buf));
+    }
+    if (!branch.empty()) {
+        put(";branch=");
+        put(branch);
+    }
+    return out;
+}
+
+std::string
+ViaView::toString() const
+{
+    std::string out(renderedSize(), '\0');
+    renderTo(out.data());
+    return out;
+}
+
+std::optional<net::Addr>
+addrFromVia(const ViaView &via)
+{
+    return addrFromHost(via.host, via.effectivePort());
+}
+
+std::optional<Via>
+Via::parse(std::string_view text)
+{
+    auto v = ViaView::parse(text);
+    if (!v)
+        return std::nullopt;
+    return Via{std::string(v->transport), std::string(v->host), v->port,
+               std::string(v->branch)};
 }
 
 std::string
 Via::toString() const
 {
-    char portBuf[8];
-    std::size_t portLen = 0;
-    if (port) {
-        auto end =
-            std::to_chars(portBuf, portBuf + sizeof(portBuf), port).ptr;
-        portLen = static_cast<std::size_t>(end - portBuf);
-    }
-    std::string out;
-    out.reserve(8 + transport.size() + 1 + host.size()
-                + (port ? 1 + portLen : 0)
-                + (branch.empty() ? 0 : 8 + branch.size()));
-    out += "SIP/2.0/";
-    out += transport;
-    out += ' ';
-    out += host;
-    if (port) {
-        out += ':';
-        out.append(portBuf, portLen);
-    }
-    if (!branch.empty()) {
-        out += ";branch=";
-        out += branch;
-    }
-    return out;
+    return view().toString();
 }
 
 std::optional<CSeq>
@@ -329,6 +372,7 @@ SipMessage::request(Method m, SipUri uri)
     msg.isRequest_ = true;
     msg.method_ = m;
     msg.requestUri_ = std::move(uri);
+    msg.headers_.reserve(kHeaderRoom);
     return msg;
 }
 
@@ -340,7 +384,16 @@ SipMessage::response(int status, std::string reason)
     msg.status_ = status;
     msg.reason_ = reason.empty() ? reasonPhrase(status)
                                  : std::move(reason);
+    msg.headers_.reserve(kHeaderRoom);
     return msg;
+}
+
+void
+SipMessage::shareArena(const SipMessage &origin)
+{
+    if (arena_ && arena_ != origin.arena_)
+        throw std::logic_error("shareArena: message already has bytes");
+    arena_ = origin.arena_;
 }
 
 detail::MsgArena &
@@ -349,6 +402,12 @@ SipMessage::arena()
     if (!arena_)
         arena_ = std::make_shared<detail::MsgArena>();
     return *arena_;
+}
+
+char *
+SipMessage::arenaBytes(std::size_t n)
+{
+    return arena().alloc(n);
 }
 
 std::string_view
@@ -395,37 +454,11 @@ SipMessage::prependHeader(std::string_view name, std::string_view value)
 }
 
 void
-SipMessage::prependVia(const Via &via)
+SipMessage::prependVia(const ViaView &via)
 {
-    char portBuf[8];
-    std::size_t portLen = 0;
-    if (via.port) {
-        auto end =
-            std::to_chars(portBuf, portBuf + sizeof(portBuf), via.port)
-                .ptr;
-        portLen = static_cast<std::size_t>(end - portBuf);
-    }
-    std::size_t n = 8 + via.transport.size() + 1 + via.host.size()
-        + (via.port ? 1 + portLen : 0)
-        + (via.branch.empty() ? 0 : 8 + via.branch.size());
+    std::size_t n = via.renderedSize();
     char *base = arena().alloc(n);
-    char *w = base;
-    auto put = [&w](std::string_view s) {
-        std::memcpy(w, s.data(), s.size());
-        w += s.size();
-    };
-    put("SIP/2.0/");
-    put(via.transport);
-    *w++ = ' ';
-    put(via.host);
-    if (via.port) {
-        *w++ = ':';
-        put(std::string_view(portBuf, portLen));
-    }
-    if (!via.branch.empty()) {
-        put(";branch=");
-        put(via.branch);
-    }
+    via.renderTo(base);
     headers_.insert(headers_.begin(),
                     Header{HeaderId::Via, "Via",
                            std::string_view(base, n)});
@@ -544,13 +577,13 @@ SipMessage::cseq() const
     return cseqCache_;
 }
 
-const std::optional<Via> &
+const std::optional<ViaView> &
 SipMessage::topVia() const
 {
     if (!viaCacheValid_) {
         viaCache_.reset();
         if (auto h = header(HeaderId::Via))
-            viaCache_ = Via::parse(*h);
+            viaCache_ = ViaView::parse(*h);
         viaCacheValid_ = true;
     }
     return viaCache_;
@@ -682,6 +715,15 @@ SipMessage::serialize() const
     if (!wireCacheValid_)
         buildWire();
     return wireCache_;
+}
+
+std::string
+SipMessage::takeSerialized()
+{
+    if (!wireCacheValid_)
+        buildWire();
+    wireCacheValid_ = false;
+    return std::move(wireCache_);
 }
 
 std::size_t

@@ -10,8 +10,11 @@
  * interned to a small enum id at insertion, making lookups an integer
  * compare instead of a case-insensitive scan. Mutation (Via prepend,
  * Max-Forwards rewrite) copies only the new bytes into the arena;
- * copies of a message share the arena. serialize() emits in one
- * exact-size pass and caches the result until the next mutation.
+ * copies of a message share the arena, and so do responses and ACKs
+ * built from the request they answer, so values taken from it are
+ * never copied. serialize() emits in one exact-size pass and caches the
+ * result until the next mutation; takeSerialized() hands the cached
+ * rendering over for the last send instead of copying it.
  */
 
 #ifndef SIPROX_SIP_MESSAGE_HH
@@ -19,6 +22,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -95,14 +99,15 @@ namespace detail {
 
 /**
  * Ref-counted bump arena backing one message (and its copies). The
- * first "chunk" is the adopted wire buffer; mutations intern new bytes
- * into fixed-size chunks. Chunk storage never moves, so string_views
- * into the arena stay valid as it grows.
+ * adopted wire buffer holds a parsed message's bytes; new bytes go into
+ * an inline block, sized so that a phone's INVITE with its SDP fits,
+ * and only overflow into heap chunks. Storage never moves, so
+ * string_views into the arena stay valid as it grows.
  */
 class MsgArena
 {
   public:
-    MsgArena() = default;
+    MsgArena() { track(); }
 
     explicit MsgArena(std::string wire) : wire_(std::move(wire))
     {
@@ -112,8 +117,7 @@ class MsgArena
         // gross overshoot now, before any view points into the bytes.
         if (wire_.capacity() > wire_.size() + kChunkSize)
             wire_.shrink_to_fit();
-        tracked_ = wire_.capacity();
-        sim::mem::ledgers().arena.add(tracked_);
+        track();
     }
 
     MsgArena(const MsgArena &) = delete;
@@ -124,12 +128,31 @@ class MsgArena
     /** The adopted wire bytes (empty for built messages). */
     std::string_view wire() const { return wire_; }
 
-    /** Copy @p s into the arena; the returned view is stable. */
+    /**
+     * True if all of @p s lies in the adopted wire, the inline block or
+     * the newest chunk: bytes that are already stable. Older chunks are
+     * not searched (an arena shared by many copies can hold thousands),
+     * so a view into one is reported false and merely copied again.
+     */
+    bool
+    holds(std::string_view s) const
+    {
+        return within(s, wire_.data(), wire_.size())
+            || within(s, inline_, kInlineSize)
+            || (!chunks_.empty()
+                && within(s, chunks_.back().data.get(),
+                          chunks_.back().cap));
+    }
+
+    /** Copy @p s into the arena unless holds() it already; the
+     *  returned view is stable either way. */
     std::string_view
     intern(std::string_view s)
     {
         if (s.empty())
             return {};
+        if (holds(s))
+            return s;
         char *p = alloc(s.size());
         std::memcpy(p, s.data(), s.size());
         return {p, s.size()};
@@ -139,35 +162,62 @@ class MsgArena
     char *
     alloc(std::size_t n)
     {
-        if (chunks_.empty()
-            || chunks_.back().used + n > chunks_.back().cap) {
-            Chunk c;
-            c.cap = n > kChunkSize ? n : kChunkSize;
-            c.data = std::make_unique<char[]>(c.cap);
-            chunks_.push_back(std::move(c));
-            tracked_ += c.cap;
-            sim::mem::ledgers().arena.add(c.cap);
-        }
-        Chunk &c = chunks_.back();
-        char *p = c.data.get() + c.used;
-        c.used += n;
+        if (n > free_)
+            grow(n);
+        char *p = next_;
+        next_ += n;
+        free_ -= n;
         return p;
     }
 
   private:
+    static constexpr std::size_t kInlineSize = 512;
     static constexpr std::size_t kChunkSize = 256;
 
     struct Chunk
     {
         std::unique_ptr<char[]> data;
-        std::size_t used = 0;
         std::size_t cap = 0;
     };
 
+    /** Whether @p s lies in [base, base + cap); std::less orders
+     *  pointers into unrelated objects. */
+    static bool
+    within(std::string_view s, const char *base, std::size_t cap)
+    {
+        std::less<const char *> lt;
+        return !lt(s.data(), base) && !lt(base + cap, s.data() + s.size());
+    }
+
+    void
+    track()
+    {
+        tracked_ = wire_.capacity() + kInlineSize;
+        sim::mem::ledgers().arena.add(tracked_);
+    }
+
+    void
+    grow(std::size_t n)
+    {
+        Chunk c;
+        c.cap = n > kChunkSize ? n : kChunkSize;
+        c.data = std::make_unique<char[]>(c.cap);
+        next_ = c.data.get();
+        free_ = c.cap;
+        tracked_ += c.cap;
+        sim::mem::ledgers().arena.add(c.cap);
+        chunks_.push_back(std::move(c));
+    }
+
     std::string wire_;
+    /** Overflow chunks, once the inline block is full. */
     std::vector<Chunk> chunks_;
+    /** Bump cursor into the inline block or the newest chunk. */
+    char *next_ = inline_;
+    std::size_t free_ = kInlineSize;
     /** Bytes this arena reported to the retained-bytes ledger. */
     std::size_t tracked_ = 0;
+    char inline_[kInlineSize];
 };
 
 } // namespace detail
@@ -184,7 +234,37 @@ struct Header
     std::string_view value;
 };
 
-/** Parsed Via header value. */
+/**
+ * A Via header value decoded in place: every field views the bytes it
+ * was parsed from. SipMessage::topVia() caches one without copying the
+ * branch onto the heap.
+ */
+struct ViaView
+{
+    std::string_view transport; ///< "UDP", "TCP", "SCTP"
+    std::string_view host;
+    std::uint16_t port = 0;
+    std::string_view branch;
+
+    static std::optional<ViaView> parse(std::string_view text);
+
+    /** Exact length of the rendering. */
+    std::size_t renderedSize() const;
+
+    /** Write the rendering to @p out (renderedSize() bytes); returns
+     *  the end. */
+    char *renderTo(char *out) const;
+
+    std::string toString() const;
+
+    std::uint16_t effectivePort() const { return port ? port : 5060; }
+};
+
+/** The simulated address a Via's sent-by names (responses go there);
+ *  nullopt unless the host is an h<id> name. */
+std::optional<net::Addr> addrFromVia(const ViaView &via);
+
+/** Parsed Via header value, owning its fields. */
 struct Via
 {
     std::string transport; ///< "UDP", "TCP", "SCTP"
@@ -194,6 +274,13 @@ struct Via
 
     static std::optional<Via> parse(std::string_view text);
     std::string toString() const;
+
+    /** Views of this Via's fields (valid while it lives unchanged). */
+    ViaView
+    view() const
+    {
+        return ViaView{transport, host, port, branch};
+    }
 
     std::uint16_t effectivePort() const { return port ? port : 5060; }
 };
@@ -221,11 +308,21 @@ class SipMessage
     SipMessage(SipMessage &&) = default;
     SipMessage &operator=(SipMessage &&) = default;
 
-    /** Construct a request line. */
+    /** Construct a request line (room reserved for a full header
+     *  set). */
     static SipMessage request(Method m, SipUri uri);
 
-    /** Construct a response line. */
+    /** Construct a response line (room reserved for a full header
+     *  set). */
     static SipMessage response(int status, std::string reason = "");
+
+    /**
+     * Put this message's new bytes in @p origin's arena, so values
+     * taken from @p origin are added without a copy (a response to a
+     * request, an ACK to its INVITE). Only valid before anything was
+     * added to this message; throws std::logic_error otherwise.
+     */
+    void shareArena(const SipMessage &origin);
 
     bool isRequest() const { return isRequest_; }
     bool isResponse() const { return !isRequest_; }
@@ -249,7 +346,8 @@ class SipMessage
     // --- headers -------------------------------------------------------
     const std::vector<Header> &headers() const { return headers_; }
 
-    /** Append a header at the end. */
+    /** Append a header at the end. The value is copied into the arena
+     *  unless it already lives there. */
     void addHeader(std::string_view name, std::string_view value);
 
     /** Prepend a header (used for Via insertion at proxies). */
@@ -260,7 +358,15 @@ class SipMessage
      * (equivalent to prependHeader("Via", via.toString()) without the
      * temporary string).
      */
-    void prependVia(const Via &via);
+    void prependVia(const ViaView &via);
+    void prependVia(const Via &via) { prependVia(via.view()); }
+
+    /**
+     * @p n stable bytes in this message's arena, for rendering a value
+     * in place; a view of them passes through addHeader() and setBody()
+     * without a copy.
+     */
+    char *arenaBytes(std::size_t n);
 
     /** First value of @p name (case-insensitive); nullopt if absent. */
     std::optional<std::string_view> header(std::string_view name) const;
@@ -287,8 +393,9 @@ class SipMessage
     /** CSeq, decoded once and cached until a CSeq header mutates. */
     std::optional<CSeq> cseq() const;
 
-    /** Top Via, decoded once and cached until a Via header mutates. */
-    const std::optional<Via> &topVia() const;
+    /** Top Via, decoded once and cached until a Via header mutates;
+     *  it views this message's bytes. */
+    const std::optional<ViaView> &topVia() const;
 
     std::string_view from() const;
     std::string_view to() const;
@@ -311,6 +418,12 @@ class SipMessage
      */
     std::string serialize() const;
 
+    /**
+     * The rendering, moved out of the cache instead of copied: for the
+     * last send of a message. A later serialize() renders again.
+     */
+    std::string takeSerialized();
+
     /** Serialized size in bytes (renders into the cache if needed). */
     std::size_t serializedSize() const;
 
@@ -319,6 +432,11 @@ class SipMessage
 
   private:
     friend class Parser;
+
+    /** Header slots reserved up front for parsed and built messages: a
+     *  phone's INVITE plus the Vias of a short chain fit without the
+     *  vector growing. */
+    static constexpr std::size_t kHeaderRoom = 12;
 
     /** The arena, created on first mutation of a built message. */
     detail::MsgArena &arena();
@@ -353,9 +471,17 @@ class SipMessage
     mutable bool wireCacheValid_ = false;
     mutable std::optional<CSeq> cseqCache_;
     mutable bool cseqCacheValid_ = false;
-    mutable std::optional<Via> viaCache_;
+    mutable std::optional<ViaView> viaCache_;
     mutable bool viaCacheValid_ = false;
 };
+
+/** ASCII lower case; SIP tokens are ASCII (RFC 3261 §25.1), so no
+ *  locale lookup per byte. */
+constexpr char
+asciiLower(char c)
+{
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
 /** Case-insensitive ASCII string compare. */
 bool iequals(std::string_view a, std::string_view b);

@@ -1,6 +1,5 @@
 #include "sip/parser.hh"
 
-#include <cctype>
 #include <charconv>
 #include <memory>
 #include <utility>
@@ -93,7 +92,7 @@ expandHeaderName(std::string_view name)
 {
     if (name.size() != 1)
         return name;
-    switch (std::tolower(static_cast<unsigned char>(name[0]))) {
+    switch (asciiLower(name[0])) {
       case 'i':
         return "Call-ID";
       case 'm':
@@ -185,7 +184,7 @@ Parser::parse(std::string text)
     // Headers, with folding: continuation lines start with SP/HT.
     // The common case appends a {id, name view, value view} triple; a
     // folded value (rare) is joined and interned into the arena.
-    msg.headers_.reserve(12);
+    msg.headers_.reserve(SipMessage::kHeaderRoom);
     bool has_pending = false;
     HeaderId pending_id = HeaderId::Other;
     std::string_view pending_name;

@@ -2,8 +2,8 @@
 
 namespace siprox::sip {
 
-std::optional<TransactionKey>
-transactionKey(const SipMessage &msg)
+std::optional<TransactionKeyView>
+transactionKeyView(const SipMessage &msg)
 {
     const auto &via = msg.topVia();
     if (!via || via->branch.empty())
@@ -16,7 +16,16 @@ transactionKey(const SipMessage &msg)
     // transaction they refer to (RFC 3261 17.2.3): same branch.
     if (m == Method::Ack || m == Method::Cancel)
         m = Method::Invite;
-    return TransactionKey{std::string(via->branch), m};
+    return TransactionKeyView{via->branch, m};
+}
+
+std::optional<TransactionKey>
+transactionKey(const SipMessage &msg)
+{
+    auto k = transactionKeyView(msg);
+    if (!k)
+        return std::nullopt;
+    return TransactionKey{std::string(k->branch), k->method};
 }
 
 } // namespace siprox::sip

@@ -1,6 +1,7 @@
 #include "sip/uri.hh"
 
 #include <charconv>
+#include <cstring>
 
 namespace siprox::sip {
 
@@ -86,29 +87,40 @@ SipUri::renderedSize() const
     return n;
 }
 
+char *
+SipUri::renderTo(char *out) const
+{
+    auto put = [&out](std::string_view s) {
+        std::memcpy(out, s.data(), s.size());
+        out += s.size();
+    };
+    put("sip:");
+    if (!user.empty()) {
+        put(user);
+        *out++ = '@';
+    }
+    put(host);
+    if (port) {
+        *out++ = ':';
+        out = std::to_chars(out, out + 5, port).ptr;
+    }
+    for (const auto &[name, value] : params) {
+        *out++ = ';';
+        put(name);
+        if (!value.empty()) {
+            *out++ = '=';
+            put(value);
+        }
+    }
+    return out;
+}
+
 void
 SipUri::appendTo(std::string &out) const
 {
-    out += "sip:";
-    if (!user.empty()) {
-        out += user;
-        out += '@';
-    }
-    out += host;
-    if (port) {
-        char buf[8];
-        auto end = std::to_chars(buf, buf + sizeof(buf), port).ptr;
-        out += ':';
-        out.append(buf, static_cast<std::size_t>(end - buf));
-    }
-    for (const auto &[name, value] : params) {
-        out += ';';
-        out += name;
-        if (!value.empty()) {
-            out += '=';
-            out += value;
-        }
-    }
+    std::size_t at = out.size();
+    out.resize(at + renderedSize());
+    renderTo(out.data() + at);
 }
 
 std::string

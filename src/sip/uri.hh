@@ -42,6 +42,10 @@ struct SipUri
     /** Append the canonical form to @p out (no temporary string). */
     void appendTo(std::string &out) const;
 
+    /** Write the canonical form to @p out (renderedSize() bytes);
+     *  returns the end. */
+    char *renderTo(char *out) const;
+
     /** Port with the 5060 default applied. */
     std::uint16_t effectivePort() const { return port ? port : 5060; }
 

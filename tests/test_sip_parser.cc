@@ -92,6 +92,45 @@ TEST(ParserTest, ExpandsCompactHeaderNames)
     EXPECT_TRUE(r.message.contactUri());
 }
 
+TEST(ParserTest, MatchesHeaderNamesInAnyAsciiCase)
+{
+    // Header names compare case-insensitively (RFC 3261 §7.3.1),
+    // compact forms included, and keep their spelling on the wire.
+    auto r = parseMessage("BYE sip:h1 SIP/2.0\r\n"
+                          "vIA: SIP/2.0/UDP h2;branch=z9hG4bKmix\r\n"
+                          "CALL-id: mixed-call\r\n"
+                          "cseq: 4 BYE\r\n"
+                          "F: <sip:a@h2>;tag=1\r\n"
+                          "T: <sip:b@h3>\r\n"
+                          "MAX-FORWARDS: 12\r\n"
+                          "x-Trace: on\r\n"
+                          "L: 0\r\n\r\n");
+    ASSERT_TRUE(r.ok) << r.error;
+    const SipMessage &m = r.message;
+    EXPECT_EQ(m.topVia()->branch, "z9hG4bKmix");
+    EXPECT_EQ(m.callId(), "mixed-call");
+    EXPECT_EQ(m.cseq()->number, 4u);
+    EXPECT_EQ(m.from(), "<sip:a@h2>;tag=1");
+    EXPECT_EQ(m.to(), "<sip:b@h3>");
+    EXPECT_EQ(*m.maxForwards(), 12);
+    EXPECT_EQ(m.header("X-TRACE"), "on");
+    EXPECT_EQ(m.header("content-LENGTH"), "0");
+    std::string wire = m.serialize();
+    EXPECT_NE(wire.find("\r\nvIA: SIP/2.0/UDP h2"), std::string::npos);
+    EXPECT_NE(wire.find("\r\nCALL-id: mixed-call\r\n"),
+              std::string::npos);
+}
+
+TEST(ParserTest, CaseFoldIsAsciiOnly)
+{
+    EXPECT_TRUE(iequals("Content-Length", "cONTENT-lENGTH"));
+    EXPECT_EQ(headerIdFor("rECORD-rOUTE"), HeaderId::RecordRoute);
+    EXPECT_EQ(expandHeaderName("I"), "Call-ID");
+    // Latin-1 letters are not SIP token characters: no folding.
+    EXPECT_FALSE(iequals("\xC4", "\xE4"));
+    EXPECT_FALSE(iequals("[", "{")); // 0x5B vs 0x7B differ only in bit 5
+}
+
 TEST(ParserTest, UnfoldsContinuationLines)
 {
     auto r = parseMessage("INVITE sip:h1 SIP/2.0\r\n"

@@ -10,7 +10,10 @@
  * offset, and copy-on-write tests pin the arena-sharing semantics.
  * The SST per-stream framer is held to the same bar: any chunking must
  * reassemble byte-identically, and its whole-message fast path must
- * allocate no more than the TCP byte-stream framer.
+ * allocate no more than the TCP byte-stream framer. Allocation budgets
+ * pin the heap traffic of each dialog message's build-and-send, of a
+ * proxy's parse-and-forward, and of waking poll waiters, so a
+ * regression fails here and not only in the perf harness.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +28,10 @@
 #include <vector>
 
 #include "net/sst.hh"
+#include "sim/pollable.hh"
 #include "sim/rng.hh"
+#include "sim/simulation.hh"
+#include "sip/builders.hh"
 #include "sip/message.hh"
 #include "sip/parser.hh"
 
@@ -363,6 +369,193 @@ TEST(SstFramerProperty, WholeMessageFeedAllocsNoWorseThanStreamFramer)
     EXPECT_LE(sst_allocs, tcp_allocs)
         << "sst " << sst_allocs << " vs tcp " << tcp_allocs << " over "
         << kIters << " ops";
+}
+
+// --- allocation budgets ----------------------------------------------
+
+/** Heap allocations made by @p fn. */
+template <class F>
+std::uint64_t
+allocsOf(F &&fn)
+{
+    std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    fn();
+    return g_allocs.load(std::memory_order_relaxed) - a0;
+}
+
+/** A proxy at h1:5060 forwarding @p msg: Max-Forwards down, its Via
+ *  on top, sent by moving the rendering out. */
+std::string
+forwardAtProxy(SipMessage &msg)
+{
+    msg.setMaxForwards(msg.maxForwards().value_or(70) - 1);
+    msg.prependVia(ViaView{"UDP", "h1", 5060, "z9hG4bK20816.1"});
+    return msg.takeSerialized();
+}
+
+/** The phones' call flow: caller a3 at h4:6003, callee c3 at
+ *  h5:16003, through the proxy at h1:5060. */
+struct PhoneCall
+{
+    RequestSpec spec;
+    SipUri calleeContact = *SipUri::parse("sip:c3@h5:16003");
+
+    PhoneCall()
+    {
+        spec.method = Method::Invite;
+        spec.requestUri = *SipUri::parse("sip:c3@h1:5060");
+        spec.from = *SipUri::parse("sip:a3@h4:6003");
+        spec.to = spec.requestUri;
+        spec.fromTag = "a3-0";
+        spec.callId = "a3-call-0";
+        spec.cseq = 2;
+        spec.viaSentBy = *SipUri::parse("sip:h4:6003");
+        spec.branch = "z9hG4bK11400714819323198485.2";
+        spec.contact = spec.from;
+    }
+
+    /** @p req as the callee receives it from the proxy. */
+    static SipMessage
+    atCallee(const SipMessage &req)
+    {
+        ParseResult r = parseOwned(req.serialize());
+        std::string fwd = forwardAtProxy(r.message);
+        return parseOwned(std::move(fwd)).message;
+    }
+
+    /** @p rsp as the caller receives it from the proxy. */
+    static SipMessage
+    atCaller(const SipMessage &rsp)
+    {
+        ParseResult r = parseOwned(rsp.serialize());
+        r.message.removeFirstHeader(HeaderId::Via);
+        return parseOwned(r.message.takeSerialized()).message;
+    }
+};
+
+TEST(AllocBudget, BuildAndSendEachDialogMessage)
+{
+    // Per message: its header vector and its rendering; a request adds
+    // its arena block, while responses and the ACK share the arena of
+    // the request they answer. Every message fits its inline block.
+    PhoneCall call;
+    SipMessage invite;
+    std::string wire;
+    EXPECT_EQ(allocsOf([&] {
+                  invite = buildRequest(call.spec);
+                  wire = invite.takeSerialized();
+              }),
+              3u);
+    EXPECT_FALSE(wire.empty());
+
+    const SipMessage invite_in = PhoneCall::atCallee(invite);
+    const SipUri contact = call.calleeContact;
+    EXPECT_EQ(allocsOf([&] {
+                  wire = buildResponse(invite_in, status::kRinging, "c3-tag")
+                             .takeSerialized();
+              }),
+              2u);
+    SipMessage ok;
+    EXPECT_EQ(allocsOf([&] {
+                  ok = buildResponse(invite_in, status::kOk, "c3-tag",
+                                     contact);
+                  wire = ok.takeSerialized();
+              }),
+              2u);
+    EXPECT_FALSE(ok.body().empty());
+
+    const SipMessage ok_in = PhoneCall::atCaller(ok);
+    const std::string ack_branch = "z9hG4bK11400714819323198485.3";
+    EXPECT_EQ(allocsOf([&] {
+                  SipMessage ack = buildAck(invite, ok_in, ack_branch);
+                  ack.setRequestUri(contact);
+                  wire = ack.takeSerialized();
+              }),
+              2u);
+
+    RequestSpec bye_spec = call.spec;
+    bye_spec.method = Method::Bye;
+    bye_spec.requestUri = contact;
+    bye_spec.cseq = 3;
+    bye_spec.branch = "z9hG4bK11400714819323198485.4";
+    bye_spec.contact.reset();
+    SipMessage bye;
+    EXPECT_EQ(allocsOf([&] {
+                  bye = buildRequest(bye_spec);
+                  wire = bye.takeSerialized();
+              }),
+              3u);
+    const SipMessage bye_in = PhoneCall::atCallee(bye);
+    EXPECT_EQ(allocsOf([&] {
+                  wire = buildResponse(bye_in, status::kOk, "c3-tag")
+                             .takeSerialized();
+              }),
+              2u);
+
+    // A resend copies the cached rendering: one string.
+    invite.serialize();
+    EXPECT_EQ(allocsOf([&] { wire = invite.serialize(); }), 1u);
+}
+
+TEST(AllocBudget, ParseOwnedAndForwardInvite)
+{
+    // Arena block, header vector, rendering: the Via and Max-Forwards
+    // rewrites land in the inline block.
+    PhoneCall call;
+    std::string in = buildRequest(call.spec).serialize();
+    std::string out;
+    EXPECT_EQ(allocsOf([&] {
+                  ParseResult r = parseOwned(std::move(in));
+                  out = forwardAtProxy(r.message);
+              }),
+              3u);
+    EXPECT_NE(out.find("Max-Forwards: 69\r\n"), std::string::npos);
+}
+
+/** A pollable that turns ready on demand. */
+class Bell : public sim::Pollable
+{
+  public:
+    bool pollReady() const override { return rung_; }
+
+    void
+    ring()
+    {
+        rung_ = true;
+        notifyPollWaiters();
+    }
+
+  private:
+    bool rung_ = false;
+};
+
+sim::Task
+awaitBell(sim::Process &p, const std::vector<sim::Pollable *> *items,
+          int *woken)
+{
+    int idx = -1;
+    co_await sim::poll(p, *items, sim::kTimeNever, idx);
+    if (idx == 0)
+        ++*woken;
+}
+
+TEST(AllocBudget, NotifyPollWaitersAllocatesNothing)
+{
+    sim::Simulation simu;
+    sim::Machine &m = simu.addMachine("m", 1);
+    Bell bell;
+    const std::vector<sim::Pollable *> items{&bell};
+    int woken = 0;
+    for (int i = 0; i < 4; ++i) {
+        m.spawn("waiter", 0, [&](sim::Process &p) {
+            return awaitBell(p, &items, &woken);
+        });
+    }
+    simu.run(); // every waiter parks in poll()
+    ASSERT_EQ(woken, 0);
+    EXPECT_EQ(allocsOf([&] { bell.ring(); }), 0u);
+    simu.run();
+    EXPECT_EQ(woken, 4);
 }
 
 TEST(CopyOnWrite, MutatingACopyLeavesTheOriginalIntact)
