@@ -76,7 +76,7 @@ class FramePool
 
   private:
     static constexpr std::size_t kGranule = 64;
-    static constexpr std::size_t kBuckets = 32; // frames up to 2 KiB
+    static constexpr std::size_t kBuckets = 64; // frames up to 4 KiB
 
     static std::size_t
     bucket(std::size_t n)

@@ -377,13 +377,13 @@ SipMessage::request(Method m, SipUri uri)
 }
 
 SipMessage
-SipMessage::response(int status, std::string reason)
+SipMessage::response(int status, std::string_view reason)
 {
     SipMessage msg;
     msg.isRequest_ = false;
     msg.status_ = status;
     msg.reason_ = reason.empty() ? reasonPhrase(status)
-                                 : std::move(reason);
+                                 : msg.intern(reason);
     msg.headers_.reserve(kHeaderRoom);
     return msg;
 }
@@ -742,7 +742,8 @@ SipMessage::summary() const
         out = std::string(methodName(method_)) + " "
             + requestUri_.toString();
     } else {
-        out = std::to_string(status_) + " " + reason_;
+        out = std::to_string(status_) + " ";
+        out += reason_;
     }
     auto cs = cseq();
     if (cs)

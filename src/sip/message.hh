@@ -313,8 +313,8 @@ class SipMessage
     static SipMessage request(Method m, SipUri uri);
 
     /** Construct a response line (room reserved for a full header
-     *  set). */
-    static SipMessage response(int status, std::string reason = "");
+     *  set); the reason phrase defaults to reasonPhrase(@p status). */
+    static SipMessage response(int status, std::string_view reason = {});
 
     /**
      * Put this message's new bytes in @p origin's arena, so values
@@ -338,7 +338,7 @@ class SipMessage
     }
 
     int statusCode() const { return status_; }
-    const std::string &reason() const { return reason_; }
+    std::string_view reason() const { return reason_; }
     bool isProvisional() const { return status_ >= 100 && status_ < 200; }
     bool isFinal() const { return status_ >= 200; }
     bool isSuccess() const { return status_ >= 200 && status_ < 300; }
@@ -434,9 +434,9 @@ class SipMessage
     friend class Parser;
 
     /** Header slots reserved up front for parsed and built messages: a
-     *  phone's INVITE plus the Vias of a short chain fit without the
-     *  vector growing. */
-    static constexpr std::size_t kHeaderRoom = 12;
+     *  phone's INVITE with the Vias of a 4-hop chain, plus the next
+     *  hop's, fits without the vector growing. */
+    static constexpr std::size_t kHeaderRoom = 16;
 
     /** The arena, created on first mutation of a built message. */
     detail::MsgArena &arena();
@@ -461,7 +461,8 @@ class SipMessage
     Method method_ = Method::Unknown;
     SipUri requestUri_;
     int status_ = 0;
-    std::string reason_;
+    /** Static storage (the default phrase) or this message's bytes. */
+    std::string_view reason_;
     std::vector<Header> headers_;
     std::string_view body_;
     std::shared_ptr<detail::MsgArena> arena_;

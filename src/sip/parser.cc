@@ -161,7 +161,7 @@ Parser::parse(std::string text)
         msg.isRequest_ = false;
         msg.status_ = status;
         if (sp != std::string_view::npos)
-            msg.reason_ = std::string(trim(body.substr(sp + 1)));
+            msg.reason_ = trim(body.substr(sp + 1));
     } else {
         // Request line: METHOD uri SIP/2.0
         auto sp1 = start->find(' ');
