@@ -290,16 +290,6 @@ addrFromVia(const ViaView &via)
     return addrFromHost(via.host, via.effectivePort());
 }
 
-std::optional<Via>
-Via::parse(std::string_view text)
-{
-    auto v = ViaView::parse(text);
-    if (!v)
-        return std::nullopt;
-    return Via{std::string(v->transport), std::string(v->host), v->port,
-               std::string(v->branch)};
-}
-
 std::string
 Via::toString() const
 {

@@ -272,7 +272,6 @@ struct Via
     std::uint16_t port = 0;
     std::string branch;
 
-    static std::optional<Via> parse(std::string_view text);
     std::string toString() const;
 
     /** Views of this Via's fields (valid while it lives unchanged). */
