@@ -669,7 +669,8 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
     const std::string to_tag = cfg_.user + "-tag";
     int completed = 0;
     std::string current_call; // Call-ID being serviced
-    // The 200 OK, re-rendered for each retransmission until the ACK.
+    // The 200 OK, re-rendered for each retransmission until the ACK;
+    // set exactly while awaiting_ack.
     std::optional<sip::SipMessage> ok200;
     net::Addr ok200_dst;      // where the 200 goes (top Via)
     bool awaiting_ack = false;
@@ -756,6 +757,7 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
             if (awaiting_ack && msg.callId() == current_call) {
                 awaiting_ack = false;
                 retrans_at = sim::kTimeNever;
+                ok200.reset(); // frees the INVITE bytes it shares
                 opDone(p.sim().now()); // invite transaction complete
             }
             break;
@@ -766,6 +768,7 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
             if (awaiting_ack && msg.callId() == current_call) {
                 awaiting_ack = false;
                 retrans_at = sim::kTimeNever;
+                ok200.reset();
                 opDone(p.sim().now());
             }
             sip::SipMessage ok = sip::buildResponse(
