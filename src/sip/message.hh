@@ -128,22 +128,6 @@ class MsgArena
     /** The adopted wire bytes (empty for built messages). */
     std::string_view wire() const { return wire_; }
 
-    /**
-     * True if all of @p s lies in the adopted wire, the inline block or
-     * the newest chunk: bytes that are already stable. Older chunks are
-     * not searched (an arena shared by many copies can hold thousands),
-     * so a view into one is reported false and merely copied again.
-     */
-    bool
-    holds(std::string_view s) const
-    {
-        return within(s, wire_.data(), wire_.size())
-            || within(s, inline_, kInlineSize)
-            || (!chunks_.empty()
-                && within(s, chunks_.back().data.get(),
-                          chunks_.back().cap));
-    }
-
     /** Copy @p s into the arena unless holds() it already; the
      *  returned view is stable either way. */
     std::string_view
@@ -179,6 +163,22 @@ class MsgArena
         std::unique_ptr<char[]> data;
         std::size_t cap = 0;
     };
+
+    /**
+     * True if all of @p s lies in the adopted wire, the inline block or
+     * the newest chunk: bytes that are already stable. Older chunks are
+     * not searched (an arena shared by many copies can hold thousands),
+     * so a view into one is reported false and merely copied again.
+     */
+    bool
+    holds(std::string_view s) const
+    {
+        return within(s, wire_.data(), wire_.size())
+            || within(s, inline_, kInlineSize)
+            || (!chunks_.empty()
+                && within(s, chunks_.back().data.get(),
+                          chunks_.back().cap));
+    }
 
     /** Whether @p s lies in [base, base + cap); std::less orders
      *  pointers into unrelated objects. */

@@ -39,8 +39,8 @@
 
 static std::atomic<std::uint64_t> g_allocs{0};
 
-void *
-operator new(std::size_t n)
+static void *
+countedAlloc(std::size_t n)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
     void *p = std::malloc(n ? n : 1);
@@ -49,7 +49,8 @@ operator new(std::size_t n)
     return p;
 }
 
-void *operator new[](std::size_t n) { return operator new(n); }
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
 void operator delete(void *p) noexcept { std::free(p); }
 void operator delete[](void *p) noexcept { std::free(p); }
 void operator delete(void *p, std::size_t) noexcept { std::free(p); }
