@@ -17,7 +17,7 @@
 #include "sip/builders.hh"
 #include "sip/parser.hh"
 #include "sip/timers.hh"
-#include "wire_text.hh"
+#include "sip_dialog.hh"
 
 namespace {
 

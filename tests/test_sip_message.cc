@@ -13,13 +13,13 @@
 #include "sip/message.hh"
 #include "sip/parser.hh"
 #include "sip/transaction.hh"
-#include "wire_text.hh"
+#include "sip_dialog.hh"
 
 namespace {
 
 using namespace siprox;
 using namespace siprox::sip;
-using siprox::tests::crlf;
+using namespace siprox::tests;
 
 RequestSpec
 inviteSpec()
@@ -273,84 +273,28 @@ TEST(BranchGeneratorTest, GeneratesUniqueCookiePrefixedBranches)
 // send takes the rendered wire out of the cache; digests count only
 // counters, so these goldens are what catches a byte that moved.
 
-/**
- * One call as the phones build it, through a proxy at h1:5060: the
- * callee answers the INVITE as the proxy forwarded it (two Vias), and
- * the caller ACKs and BYEs toward the callee's contact.
- */
+/** The call of sip_dialog.hh, every message built as the phones do. */
 struct Dialog
 {
     SipMessage invite, ringing, ok, ack, bye, byeOk;
 };
 
-/** @p msg as a stateful proxy at h1:5060 forwards it to @p target. */
-SipMessage
-forwardedByProxy(const SipMessage &msg, const SipUri &target,
-                 const std::string &branch)
-{
-    ParseResult r = parseMessage(msg.serialize());
-    EXPECT_TRUE(r.ok);
-    r.message.setMaxForwards(r.message.maxForwards().value_or(70) - 1);
-    r.message.setRequestUri(target);
-    Via via;
-    via.transport = "UDP";
-    via.host = "h1";
-    via.port = 5060;
-    via.branch = branch;
-    r.message.prependVia(via);
-    ParseResult at_callee = parseMessage(r.message.serialize());
-    EXPECT_TRUE(at_callee.ok);
-    return at_callee.message;
-}
-
-/** @p rsp as the proxy relays it upstream: its own Via popped. */
-SipMessage
-relayedByProxy(const SipMessage &rsp)
-{
-    ParseResult r = parseMessage(rsp.serialize());
-    EXPECT_TRUE(r.ok);
-    r.message.removeFirstHeader(HeaderId::Via);
-    return r.message;
-}
-
 Dialog
 buildDialog()
 {
-    const SipUri callee_contact = *SipUri::parse("sip:callee3@h5:7003");
-    RequestSpec spec;
-    spec.method = Method::Invite;
-    spec.requestUri = *SipUri::parse("sip:callee3@h1:5060");
-    spec.from = *SipUri::parse("sip:caller3@h4:6003");
-    spec.to = *SipUri::parse("sip:callee3@h1:5060");
-    spec.fromTag = "caller3-0";
-    spec.callId = "caller3-call-0";
-    spec.cseq = 2;
-    spec.viaSentBy = *SipUri::parse("sip:h4:6003");
-    spec.branch = "z9hG4bK11400714819323198485.2";
-    spec.contact = *SipUri::parse("sip:caller3@h4:6003");
-
     Dialog d;
-    d.invite = buildRequest(spec);
-    SipMessage at_callee =
-        forwardedByProxy(d.invite, callee_contact, "z9hG4bK20816.1");
+    d.invite = buildRequest(callerInvite());
+    SipMessage at_callee = forwardedByProxy(d.invite, "z9hG4bK20816.1");
     d.ringing = buildResponse(at_callee, status::kRinging, "callee3-tag");
     d.ok = buildResponse(at_callee, status::kOk, "callee3-tag",
-                         callee_contact);
+                         calleeContact());
     SipMessage ok_at_caller = relayedByProxy(d.ok);
     d.ack = buildAck(d.invite, ok_at_caller,
                      "z9hG4bK11400714819323198485.3");
     d.ack.setRequestUri(*ok_at_caller.contactUri());
-
-    RequestSpec bye_spec = spec;
-    bye_spec.method = Method::Bye;
-    bye_spec.requestUri = callee_contact;
-    bye_spec.cseq = 3;
-    bye_spec.branch = "z9hG4bK11400714819323198485.4";
-    bye_spec.contact.reset();
-    d.bye = buildRequest(bye_spec);
-    d.byeOk = buildResponse(
-        forwardedByProxy(d.bye, callee_contact, "z9hG4bK20816.2"),
-        status::kOk, "callee3-tag");
+    d.bye = buildRequest(callerBye());
+    d.byeOk = buildResponse(forwardedByProxy(d.bye, "z9hG4bK20816.2"),
+                            status::kOk, "callee3-tag");
     return d;
 }
 

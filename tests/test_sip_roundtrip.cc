@@ -34,6 +34,7 @@
 #include "sip/builders.hh"
 #include "sip/message.hh"
 #include "sip/parser.hh"
+#include "sip_dialog.hh"
 
 // --- counting allocator (same interposition as bench/perf_harness) --
 
@@ -60,6 +61,7 @@ namespace {
 
 using namespace siprox;
 using namespace siprox::sip;
+using namespace siprox::tests;
 
 /** The logical message a generator intends; the oracle for parsing. */
 struct Intended
@@ -384,88 +386,39 @@ allocsOf(F &&fn)
     return g_allocs.load(std::memory_order_relaxed) - a0;
 }
 
-/** A proxy at h1:5060 forwarding @p msg: Max-Forwards down, its Via
- *  on top, sent by moving the rendering out. */
-std::string
-forwardAtProxy(SipMessage &msg)
-{
-    msg.setMaxForwards(msg.maxForwards().value_or(70) - 1);
-    msg.prependVia(ViaView{"UDP", "h1", 5060, "z9hG4bK20816.1"});
-    return msg.takeSerialized();
-}
-
-/** The phones' call flow: caller a3 at h4:6003, callee c3 at
- *  h5:16003, through the proxy at h1:5060. */
-struct PhoneCall
-{
-    RequestSpec spec;
-    SipUri calleeContact = *SipUri::parse("sip:c3@h5:16003");
-
-    PhoneCall()
-    {
-        spec.method = Method::Invite;
-        spec.requestUri = *SipUri::parse("sip:c3@h1:5060");
-        spec.from = *SipUri::parse("sip:a3@h4:6003");
-        spec.to = spec.requestUri;
-        spec.fromTag = "a3-0";
-        spec.callId = "a3-call-0";
-        spec.cseq = 2;
-        spec.viaSentBy = *SipUri::parse("sip:h4:6003");
-        spec.branch = "z9hG4bK11400714819323198485.2";
-        spec.contact = spec.from;
-    }
-
-    /** @p req as the callee receives it from the proxy. */
-    static SipMessage
-    atCallee(const SipMessage &req)
-    {
-        ParseResult r = parseOwned(req.serialize());
-        std::string fwd = forwardAtProxy(r.message);
-        return parseOwned(std::move(fwd)).message;
-    }
-
-    /** @p rsp as the caller receives it from the proxy. */
-    static SipMessage
-    atCaller(const SipMessage &rsp)
-    {
-        ParseResult r = parseOwned(rsp.serialize());
-        r.message.removeFirstHeader(HeaderId::Via);
-        return parseOwned(r.message.takeSerialized()).message;
-    }
-};
-
 TEST(AllocBudget, BuildAndSendEachDialogMessage)
 {
     // Per message: its header vector and its rendering; a request adds
     // its arena block, while responses and the ACK share the arena of
     // the request they answer. Every message fits its inline block.
-    PhoneCall call;
+    const RequestSpec spec = callerInvite();
     SipMessage invite;
     std::string wire;
     EXPECT_EQ(allocsOf([&] {
-                  invite = buildRequest(call.spec);
+                  invite = buildRequest(spec);
                   wire = invite.takeSerialized();
               }),
               3u);
     EXPECT_FALSE(wire.empty());
 
-    const SipMessage invite_in = PhoneCall::atCallee(invite);
-    const SipUri contact = call.calleeContact;
+    const SipMessage invite_in = forwardedByProxy(invite, "z9hG4bK20816.1");
+    const SipUri contact = calleeContact();
     EXPECT_EQ(allocsOf([&] {
-                  wire = buildResponse(invite_in, status::kRinging, "c3-tag")
+                  wire = buildResponse(invite_in, status::kRinging,
+                                       "callee3-tag")
                              .takeSerialized();
               }),
               2u);
     SipMessage ok;
     EXPECT_EQ(allocsOf([&] {
-                  ok = buildResponse(invite_in, status::kOk, "c3-tag",
+                  ok = buildResponse(invite_in, status::kOk, "callee3-tag",
                                      contact);
                   wire = ok.takeSerialized();
               }),
               2u);
     EXPECT_FALSE(ok.body().empty());
 
-    const SipMessage ok_in = PhoneCall::atCaller(ok);
+    const SipMessage ok_in = relayedByProxy(ok);
     const std::string ack_branch = "z9hG4bK11400714819323198485.3";
     EXPECT_EQ(allocsOf([&] {
                   SipMessage ack = buildAck(invite, ok_in, ack_branch);
@@ -474,21 +427,16 @@ TEST(AllocBudget, BuildAndSendEachDialogMessage)
               }),
               2u);
 
-    RequestSpec bye_spec = call.spec;
-    bye_spec.method = Method::Bye;
-    bye_spec.requestUri = contact;
-    bye_spec.cseq = 3;
-    bye_spec.branch = "z9hG4bK11400714819323198485.4";
-    bye_spec.contact.reset();
+    const RequestSpec bye_spec = callerBye();
     SipMessage bye;
     EXPECT_EQ(allocsOf([&] {
                   bye = buildRequest(bye_spec);
                   wire = bye.takeSerialized();
               }),
               3u);
-    const SipMessage bye_in = PhoneCall::atCallee(bye);
+    const SipMessage bye_in = forwardedByProxy(bye, "z9hG4bK20816.2");
     EXPECT_EQ(allocsOf([&] {
-                  wire = buildResponse(bye_in, status::kOk, "c3-tag")
+                  wire = buildResponse(bye_in, status::kOk, "callee3-tag")
                              .takeSerialized();
               }),
               2u);
@@ -502,12 +450,12 @@ TEST(AllocBudget, ParseOwnedAndForwardInvite)
 {
     // Arena block, header vector, rendering: the Via and Max-Forwards
     // rewrites land in the inline block.
-    PhoneCall call;
-    std::string in = buildRequest(call.spec).serialize();
+    std::string in = buildRequest(callerInvite()).serialize();
+    const SipUri target = calleeContact();
     std::string out;
     EXPECT_EQ(allocsOf([&] {
                   ParseResult r = parseOwned(std::move(in));
-                  out = forwardAtProxy(r.message);
+                  out = forwardAtProxy(r.message, target, "z9hG4bK20816.1");
               }),
               3u);
     EXPECT_NE(out.find("Max-Forwards: 69\r\n"), std::string::npos);
