@@ -6,6 +6,9 @@
 #include "core/event_arch.hh"
 #include "core/tcp_arch.hh"
 #include "core/udp_arch.hh"
+#include "net/sctp.hh"
+#include "net/sst.hh"
+#include "net/udp.hh"
 
 namespace siprox::core {
 
@@ -82,6 +85,16 @@ makeServerArch(sim::Machine &machine, net::Host &host,
         break; // unreachable
     }
     throw std::logic_error("unresolved architecture kind");
+}
+
+net::DatagramSocket &
+bindDatagram(net::Host &host, Transport transport, std::uint16_t port)
+{
+    if (transport == Transport::Sctp)
+        return host.sctpBind(port);
+    if (transport == Transport::Sst)
+        return host.sstBind(port);
+    return host.udpBind(port);
 }
 
 } // namespace siprox::core

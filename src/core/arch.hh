@@ -24,6 +24,7 @@
 
 #include "core/config.hh"
 #include "core/shared.hh"
+#include "net/datagram.hh"
 #include "net/network.hh"
 #include "sim/machine.hh"
 
@@ -110,6 +111,14 @@ std::unique_ptr<ServerArch> makeServerArch(sim::Machine &machine,
                                            net::Host &host,
                                            SharedState &shared,
                                            const ProxyConfig &cfg);
+
+/**
+ * Bind @p host's socket for the datagram transport @p transport (UDP,
+ * SCTP or SST) on @p port. Servers and phones use the result only
+ * through the transport-generic net::DatagramSocket interface.
+ */
+net::DatagramSocket &bindDatagram(net::Host &host, Transport transport,
+                                  std::uint16_t port);
 
 } // namespace siprox::core
 

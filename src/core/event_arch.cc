@@ -3,9 +3,6 @@
 #include <algorithm>
 
 #include "net/error.hh"
-#include "net/sctp.hh"
-#include "net/sst.hh"
-#include "net/udp.hh"
 #include "sim/pollable.hh"
 #include "sim/simulation.hh"
 
@@ -26,15 +23,10 @@ EventArch::~EventArch() = default;
 void
 EventArch::start()
 {
-    if (tcpMode()) {
+    if (tcpMode())
         listener_ = &host_.tcpListen(cfg_.port);
-    } else if (cfg_.transport == Transport::Sctp) {
-        sock_ = &host_.sctpBind(cfg_.port);
-    } else if (cfg_.transport == Transport::Sst) {
-        sock_ = &host_.sstBind(cfg_.port);
-    } else {
-        sock_ = &host_.udpBind(cfg_.port);
-    }
+    else
+        sock_ = &bindDatagram(host_, cfg_.transport, cfg_.port);
     // One loop per core: the whole design premise. cfg_.workers is
     // deliberately ignored (documented on ArchKind::EventDriven).
     int n = machine_.scheduler().cores();
@@ -519,89 +511,26 @@ EventArch::loopSteal(sim::Process &p, Loop &l, bool *stole)
 sim::Task
 EventArch::loopMainDatagram(sim::Process &p, int id)
 {
-    // Not a coroutine: picks the loop body once at startup. batchMax
-    // <= 1 keeps the legacy one-message readiness drain verbatim
-    // (digest-pinned); above that, the drain becomes a true batch.
-    if (host_.net().config().batchMax > 1)
-        return loopMainDatagramBatched(p, id);
-    return loopMainDatagramLegacy(p, id);
-}
-
-sim::Task
-EventArch::loopMainDatagramLegacy(sim::Process &p, int id)
-{
-    Loop &l = *loops_[static_cast<std::size_t>(id)];
-    std::vector<sim::Pollable *> items{sock_};
-    std::vector<int> ready;
-    Loop *lp = &l;
-    while (!stop_) {
-        co_await sim::pollAll(p, items, sim::kTimeNever, ready);
-        if (stop_)
-            break;
-        co_await p.cpu(cfg_.costs.pollOverhead, ccPoll_);
-        net::Datagram dgram;
-        while (sock_->tryRecvFrom(dgram)) {
-            // The blocking recvFrom path charges this on dequeue; the
-            // readiness path must pay the same kernel copy cost.
-            co_await sock_->chargeRecv(p, dgram.payload.size());
-            WorkerLoop::traceRxDatagram(p, dgram.src,
-                                        dgram.payload.size());
-            shared_.overload.noteQueueDepth(sock_->queueDepth());
-            co_await l.wloop->dispatch(
-                p, std::move(dgram.payload), MsgSource{dgram.src, 0},
-                [this, lp](sim::Process &sp, SendAction action) {
-                    return loopSendDatagram(sp, *lp,
-                                            std::move(action));
-                });
-            if (stop_)
-                co_return;
-        }
-    }
-}
-
-sim::Task
-EventArch::loopMainDatagramBatched(sim::Process &p, int id)
-{
-    Loop &l = *loops_[static_cast<std::size_t>(id)];
+    WorkerLoop &loop = *loops_[static_cast<std::size_t>(id)]->wloop;
     std::vector<sim::Pollable *> items{sock_};
     std::vector<int> ready;
     const int bmax = host_.net().config().batchMax;
     std::vector<net::Datagram> batch;
-    std::vector<net::OutDatagram> outbox;
     while (!stop_) {
         co_await sim::pollAll(p, items, sim::kTimeNever, ready);
         if (stop_)
             break;
         co_await p.cpu(cfg_.costs.pollOverhead, ccPoll_);
         std::size_t bytes = 0;
-        // The per-loop readiness drain as a true batch: one batched
-        // kernel charge per recvmmsg-sized gulp instead of one
-        // syscall-scale charge per datagram.
+        // The per-loop readiness drain: one batched kernel charge per
+        // recvmmsg-sized gulp, as the blocking recvBatch charges it.
         while (sock_->tryRecvBatch(batch, bmax, bytes)) {
             co_await sock_->chargeRecvBatch(p, batch.size(), bytes);
-            std::size_t in_hand = batch.size();
-            for (auto &dgram : batch) {
-                WorkerLoop::traceRxDatagram(p, dgram.src,
-                                            dgram.payload.size());
-                --in_hand;
-                shared_.overload.noteDrainedBatch(sock_->queueDepth(),
-                                                  in_hand);
-                co_await l.wloop->dispatchCollect(
-                    p, std::move(dgram.payload),
-                    MsgSource{dgram.src, 0}, outbox, batch.size());
-                if (stop_)
-                    co_return;
-            }
-            co_await sock_->sendBatch(p, outbox);
+            co_await loop.serveBatch(p, *sock_, batch);
+            if (stop_)
+                co_return;
         }
     }
-}
-
-sim::Task
-EventArch::loopSendDatagram(sim::Process &p, Loop &l, SendAction action)
-{
-    (void)l;
-    return sock_->sendTo(p, action.dstAddr, std::move(action.wire));
 }
 
 // ---------------------------------------------------------------------------

@@ -64,11 +64,7 @@ class UdpArch final : public ServerArch
 
   private:
     sim::Task workerMain(sim::Process &p, int id);
-    sim::Task workerLegacy(sim::Process &p, int id);
-    sim::Task workerBatched(sim::Process &p, int id);
     sim::Task timerMain(sim::Process &p);
-
-    sim::Task sendOne(sim::Process &p, net::Addr dst, std::string wire);
 
     sim::Machine &machine_;
     net::Host &host_;

@@ -5,6 +5,41 @@
 namespace siprox::core {
 
 sim::Task
+WorkerLoop::serveBatch(sim::Process &p, net::DatagramSocket &sock,
+                       std::vector<net::Datagram> &batch)
+{
+    const std::size_t n = batch.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        net::Datagram &dgram = batch[i];
+        if (sim::trace::enabled()) {
+            sim::trace::log(p.sim().now(), "proxy-rx",
+                            dgram.src.toString() + " "
+                                + std::to_string(dgram.payload.size())
+                                + "B");
+        }
+        // Occupancy = what is still queued in the kernel plus what
+        // this worker drained but has not yet processed, so the
+        // admission signal is batching-invariant.
+        shared_.overload.noteDrainedBatch(sock.queueDepth(), n - i - 1);
+        sim::SpanScope span(p);
+        if (n > 1) {
+            if (auto *ctx = span.ctx())
+                ctx->batchDepth = static_cast<std::uint32_t>(n);
+        }
+        actions_.clear();
+        co_await engine_.handleMessage(p, std::move(dgram.payload),
+                                       MsgSource{dgram.src, 0},
+                                       actions_);
+        for (auto &action : actions_)
+            outbox_.push_back(net::OutDatagram{
+                action.dstAddr, std::move(action.wire)});
+        // One simulated sendmmsg flushes everything the batch emitted.
+        if (i + 1 == n)
+            co_await sock.sendBatch(p, outbox_);
+    }
+}
+
+sim::Task
 WorkerLoop::reclaimTxns(sim::Process &p, SharedState &shared,
                         const ProxyConfig &cfg, sim::SimTime now)
 {

@@ -6,18 +6,19 @@
  * workers, event-driven loops) wrap the same sequence around each
  * received message: trace logging, feeding the overload controller's
  * queue-depth signal, opening a causal span, running the Engine, and
- * transmitting the SendActions it emits. Only the transmit step is
- * architecture-specific, so dispatch() takes it as a callable and the
- * rest lives here once.
+ * transmitting the SendActions it emits. Stream connections transmit
+ * through an architecture-specific step, so dispatch() takes it as a
+ * callable; every datagram architecture drains its socket in batches
+ * and hands each batch to serveBatch().
  *
  * The timer-process bodies (terminated-transaction reclamation and the
  * datagram retransmission walk) are equally architecture-independent
  * and live here too.
  *
- * One WorkerLoop per *process*: dispatch() reuses a member SendAction
- * vector (the parse+forward hot path is allocation-budgeted), so an
- * instance must never be shared between processes that can interleave
- * at co_await points.
+ * One WorkerLoop per *process*: dispatch() and serveBatch() reuse
+ * member vectors (the parse+forward hot path is allocation-budgeted),
+ * so an instance must never be shared between processes that can
+ * interleave at co_await points.
  */
 
 #ifndef SIPROX_CORE_WORKER_LOOP_HH
@@ -63,57 +64,19 @@ class WorkerLoop
         }
     }
 
-    /** Trace one received datagram, labeled by source address. */
-    static void
-    traceRxDatagram(sim::Process &p, const net::Addr &src,
-                    std::size_t bytes)
-    {
-        if (sim::trace::enabled()) {
-            sim::trace::log(p.sim().now(), "proxy-rx",
-                            src.toString() + " "
-                                + std::to_string(bytes) + "B");
-        }
-    }
-
-    /** Feed the overload controller's queue-occupancy signal. */
-    void
-    noteQueueDepth(std::size_t depth)
-    {
-        shared_.overload.noteQueueDepth(depth);
-    }
-
-    /** Batched-dequeue variant: messages still queued behind plus
-     *  messages drained but not yet processed (see
-     *  OverloadController::noteDrainedBatch). */
-    void
-    noteDrainedBatch(std::size_t behind, std::size_t in_hand)
-    {
-        shared_.overload.noteDrainedBatch(behind, in_hand);
-    }
-
     /**
-     * Process one raw message: open a causal span covering the engine
-     * work and every transmission it triggers, run the Engine, then
-     * hand each SendAction to @p send (a callable returning a
+     * Process one raw stream message: open a causal span covering the
+     * engine work and every transmission it triggers, run the Engine,
+     * then hand each SendAction to @p send (a callable returning a
      * sim::Task, e.g. a lambda that merely calls a named coroutine —
      * see the lifetime rule in sim/task.hh).
-     *
-     * @param batch_depth When the message was drained as part of a
-     *        batched dequeue, the batch's size; the span is attributed
-     *        `batched` in the trace export. 0 (or 1) for the legacy
-     *        one-message path.
      */
     template <typename SendFn>
     sim::Task
     dispatch(sim::Process &p, std::string raw, MsgSource src,
-             SendFn send, std::size_t batch_depth = 0)
+             SendFn send)
     {
         sim::SpanScope span(p);
-        if (batch_depth > 1) {
-            if (auto *ctx = span.ctx())
-                ctx->batchDepth =
-                    static_cast<std::uint32_t>(batch_depth);
-        }
         actions_.clear();
         co_await engine_.handleMessage(p, std::move(raw), src,
                                        actions_);
@@ -122,29 +85,16 @@ class WorkerLoop
     }
 
     /**
-     * Batched-path variant of dispatch(): instead of transmitting each
-     * SendAction through a per-action coroutine, push them onto
-     * @p outbox for one deferred sendBatch() flush. Saves a coroutine
-     * frame and an awaiter round trip per action on the hot path.
+     * Serve one batch of datagrams drained from @p sock (a recvmmsg;
+     * batchMax=1 makes every batch a single recvfrom). Each message is
+     * traced, feeds the drained-batch occupancy signal, and runs the
+     * Engine in its own causal span; the replies collect in one outbox
+     * that a single sendBatch() flushes inside the span of the batch's
+     * last message, so a batch of one sends exactly where a
+     * one-message loop would. Consumes @p batch's payloads.
      */
-    sim::Task
-    dispatchCollect(sim::Process &p, std::string raw, MsgSource src,
-                    std::vector<net::OutDatagram> &outbox,
-                    std::size_t batch_depth)
-    {
-        sim::SpanScope span(p);
-        if (batch_depth > 1) {
-            if (auto *ctx = span.ctx())
-                ctx->batchDepth =
-                    static_cast<std::uint32_t>(batch_depth);
-        }
-        actions_.clear();
-        co_await engine_.handleMessage(p, std::move(raw), src,
-                                       actions_);
-        for (auto &action : actions_)
-            outbox.push_back(net::OutDatagram{
-                action.dstAddr, std::move(action.wire)});
-    }
+    sim::Task serveBatch(sim::Process &p, net::DatagramSocket &sock,
+                         std::vector<net::Datagram> &batch);
 
     /**
      * Reclaim terminated transaction records (every architecture's
@@ -178,6 +128,8 @@ class WorkerLoop
     Engine &engine_;
     /** Reused across messages: the hot path is allocation-budgeted. */
     std::vector<SendAction> actions_;
+    /** serveBatch()'s replies, reused across batches likewise. */
+    std::vector<net::OutDatagram> outbox_;
 };
 
 } // namespace siprox::core

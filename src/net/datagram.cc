@@ -42,7 +42,7 @@ DatagramSocket::sendBatch(sim::Process &p,
         std::size_t bytes = 0;
         for (std::size_t k = i; k < i + n; ++k)
             bytes += msgs[k].payload.size();
-        net.stats().batchSend.note(n);
+        noteBatch(net.stats().batchSend, n);
         co_await chargeSendBatch(p, n, bytes);
         for (std::size_t k = i; k < i + n; ++k)
             co_await sendPrepared(p, msgs[k].dst,
@@ -55,50 +55,20 @@ DatagramSocket::sendBatch(sim::Process &p,
 sim::Task
 DatagramSocket::recvFrom(sim::Process &p, Datagram &out)
 {
-    while (!tryRecvFrom(out)) {
-        waiters_.push_back(&p);
-        co_await p.block(recvBlockReason_, sim::trace::Wait::Socket);
-        auto it = std::find(waiters_.begin(), waiters_.end(), &p);
-        if (it != waiters_.end())
-            waiters_.erase(it);
-        consumeWakeCapacity();
-    }
-    co_await chargeRecv(p, out.payload.size());
+    co_await awaitDelivery(p);
+    out = std::move(queue_.front());
+    queue_.pop_front();
+    co_await chargeRecvBatch(p, 1, out.payload.size());
 }
 
 sim::Task
 DatagramSocket::recvBatch(sim::Process &p, std::vector<Datagram> &out,
                           int max)
 {
-    out.clear();
-    while (queue_.empty()) {
-        waiters_.push_back(&p);
-        co_await p.block(recvBlockReason_, sim::trace::Wait::Socket);
-        auto it = std::find(waiters_.begin(), waiters_.end(), &p);
-        if (it != waiters_.end())
-            waiters_.erase(it);
-        consumeWakeCapacity();
-    }
+    co_await awaitDelivery(p);
     std::size_t bytes = 0;
-    const std::size_t cap =
-        static_cast<std::size_t>(std::max(max, 1));
-    while (out.size() < cap && !queue_.empty()) {
-        bytes += queue_.front().payload.size();
-        out.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-    }
-    host_.net().stats().batchRecv.note(out.size());
+    tryRecvBatch(out, max, bytes);
     co_await chargeRecvBatch(p, out.size(), bytes);
-}
-
-bool
-DatagramSocket::tryRecvFrom(Datagram &out)
-{
-    if (queue_.empty())
-        return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-    return true;
 }
 
 std::size_t
@@ -115,14 +85,30 @@ DatagramSocket::tryRecvBatch(std::vector<Datagram> &out, int max,
         queue_.pop_front();
     }
     if (!out.empty())
-        host_.net().stats().batchRecv.note(out.size());
+        noteBatch(host_.net().stats().batchRecv, out.size());
     return out.size();
 }
 
 sim::Task
-DatagramSocket::chargeRecv(sim::Process &p, std::size_t bytes)
+DatagramSocket::awaitDelivery(sim::Process &p)
 {
-    co_await chargeRecvBatch(p, 1, bytes);
+    while (queue_.empty()) {
+        waiters_.push_back(&p);
+        co_await p.block(recvBlockReason_, sim::trace::Wait::Socket);
+        auto it = std::find(waiters_.begin(), waiters_.end(), &p);
+        if (it != waiters_.end())
+            waiters_.erase(it);
+        consumeWakeCapacity();
+    }
+}
+
+void
+DatagramSocket::noteBatch(BatchIoStats &stats, std::size_t msgs) const
+{
+    // At batchMax=1 every call is a plain one-message syscall: batch
+    // stats record only real batching, so they stay at zero there.
+    if (host_.net().config().batchMax > 1)
+        stats.note(msgs);
 }
 
 sim::Task
@@ -163,27 +149,31 @@ DatagramSocket::enqueueDelivery(Datagram dgram)
     // delivery just bounces the extra receivers off an already-empty
     // queue (a wasted block/wake round trip each) and keeps real batch
     // depth shallow. Only wake another receiver once the queue exceeds
-    // what the in-flight wakes can drain. batchMax <= 1 keeps the
-    // legacy one-wake-per-delivery behaviour verbatim (digest-pinned).
+    // what the in-flight wakes can drain. batchMax <= 1 wakes one
+    // receiver per delivery, as recvfrom does (digest-pinned: which
+    // worker runs depends on it).
     if (!waiters_.empty()
         && (cfg.batchMax <= 1 || wokenCapacity_ < queue_.size())) {
         sim::Process *w = waiters_.front();
         waiters_.pop_front();
         w->wake();
-        if (cfg.batchMax > 1)
-            wokenCapacity_ += static_cast<std::size_t>(cfg.batchMax);
+        wokenCapacity_ += wakeShare();
     }
     notifyPollWaiters();
     return true;
 }
 
+std::size_t
+DatagramSocket::wakeShare() const
+{
+    return static_cast<std::size_t>(
+        std::max(host_.net().config().batchMax, 1));
+}
+
 void
 DatagramSocket::consumeWakeCapacity()
 {
-    const NetConfig &cfg = host_.net().config();
-    if (cfg.batchMax <= 1)
-        return;
-    std::size_t share = static_cast<std::size_t>(cfg.batchMax);
+    std::size_t share = wakeShare();
     wokenCapacity_ -= wokenCapacity_ < share ? wokenCapacity_ : share;
 }
 

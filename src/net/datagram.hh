@@ -15,7 +15,9 @@
  * the batched I/O paths (recvBatch/sendBatch — the recvmmsg/sendmmsg
  * model): one simulated syscall charge covers up to NetConfig::batchMax
  * messages, split as a fixed crossing cost plus a per-packet marginal
- * cost. Transports plug in only their per-message cost centers and the
+ * cost. The servers receive only through these paths; at batchMax=1
+ * each call moves one message at exactly the recvfrom/sendto charge.
+ * Transports plug in only their per-message cost centers and the
  * post-charge send body (association/channel setup, fault rolls, wire
  * scheduling).
  */
@@ -36,6 +38,7 @@
 namespace siprox::net {
 
 class Host;
+struct BatchIoStats;
 
 /** One received message. */
 struct Datagram
@@ -95,15 +98,11 @@ class DatagramSocket : public sim::Pollable
      * Blocking receive of up to @p max messages in one simulated
      * syscall (recvmmsg): waits for the first message, drains whatever
      * else is queued up to the cap, and charges one batched kernel
-     * cost for the lot. @p out is cleared first and must stay valid
-     * across the call.
+     * cost for the lot. @p out is replaced by the drained messages
+     * and must stay valid across the call.
      */
     sim::Task recvBatch(sim::Process &p, std::vector<Datagram> &out,
                         int max);
-
-    /** Non-blocking receive (no kernel cost charged — pair with
-     *  chargeRecv() when dequeuing from a readiness loop). */
-    bool tryRecvFrom(Datagram &out);
 
     /**
      * Non-blocking batched dequeue of up to @p max messages; no kernel
@@ -113,14 +112,6 @@ class DatagramSocket : public sim::Pollable
      */
     std::size_t tryRecvBatch(std::vector<Datagram> &out, int max,
                              std::size_t &bytes);
-
-    /**
-     * Kernel receive-path cost for one message of @p bytes. Readiness
-     * loops that dequeue via tryRecvFrom() charge this explicitly so
-     * the non-blocking read path costs the same as a blocking
-     * recvFrom().
-     */
-    sim::Task chargeRecv(sim::Process &p, std::size_t bytes);
 
     /** Batched kernel receive cost: one syscall crossing amortized
      *  over @p msgs messages totalling @p bytes. */
@@ -156,8 +147,8 @@ class DatagramSocket : public sim::Pollable
     /**
      * Batched per-message kernel charge: fixed crossing share plus
      * per-message marginal cost plus the per-byte copy cost, in one
-     * cpu() charge to @p cost_center. Exactly equal to the legacy
-     * per-message charge when @p msgs == 1.
+     * cpu() charge to @p cost_center. Exactly the one-message
+     * recvfrom/sendto charge when @p msgs == 1.
      */
     sim::Task chargeBatched(sim::Process &p, sim::SimTime per_msg_cost,
                             const char *cost_center, std::size_t msgs,
@@ -178,7 +169,16 @@ class DatagramSocket : public sim::Pollable
     std::size_t queuePeak_ = 0;
 
   private:
-    /** Retire one in-flight wake's drain share (batching only). */
+    /** Block until the receive queue holds a message. */
+    sim::Task awaitDelivery(sim::Process &p);
+
+    /** Record one batch of @p msgs in @p stats (batchMax > 1 only). */
+    void noteBatch(BatchIoStats &stats, std::size_t msgs) const;
+
+    /** Messages one wake drains: batchMax (at least 1). */
+    std::size_t wakeShare() const;
+
+    /** Retire one in-flight wake's drain share. */
     void consumeWakeCapacity();
 
     const char *recvBlockReason_;

@@ -36,8 +36,9 @@ struct TlsHostState;
 
 /**
  * Batched datagram I/O accounting: one record per recvBatch/sendBatch
- * syscall. The depth histogram's invariant — sum over d of
- * d * depth[d-1] equals messages — holds exactly while
+ * syscall, kept only when NetConfig::batchMax > 1 (at 1 every call is
+ * a plain one-message syscall). The depth histogram's invariant — sum
+ * over d of d * depth[d-1] equals messages — holds exactly while
  * NetConfig::batchMax <= kDepthBuckets (the last bucket clamps deeper
  * batches).
  */

@@ -59,8 +59,7 @@ RunResult::digest() const
         group("", net, kNet, kTls);
     if (net.sstMessages || net.sstChannels)
         group("", net, kNet, kSst);
-    // Batched-I/O group: only the recvBatch/sendBatch paths record
-    // batch syscalls, and the architectures take those paths only at
+    // Batched-I/O group: the sockets record batch syscalls only at
     // batchMax > 1, so every batchMax=1 digest stays byte-identical
     // to its pre-batching golden.
     if (net.batchRecv.calls || net.batchSend.calls) {
