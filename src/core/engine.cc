@@ -147,24 +147,6 @@ Engine::handleMessage(sim::Process &p, std::string raw, MsgSource src,
 }
 
 sim::Task
-Engine::refreshAlias(sim::Process &p, const sip::SipMessage &msg,
-                     MsgSource src)
-{
-    if (src.connId == 0)
-        co_return;
-    const auto &via = msg.topVia();
-    if (!via)
-        co_return;
-    auto addr = sip::addrFromVia(*via);
-    if (!addr)
-        co_return;
-    co_await shared_.conns.lock().acquire(p);
-    co_await p.cpu(cfg_.costs.connLookup, ccConnHash_);
-    shared_.conns.setAlias(*addr, src.connId);
-    shared_.conns.lock().release();
-}
-
-sim::Task
 Engine::checkAuth(sim::Process &p, const sip::SipMessage &msg,
                   MsgSource src, std::vector<SendAction> *out,
                   bool *accepted)
@@ -184,15 +166,7 @@ Engine::checkAuth(sim::Process &p, const sip::SipMessage &msg,
         rsp.addHeader("WWW-Authenticate",
                       std::string_view(challenge,
                                        static_cast<std::size_t>(clen)));
-        attachHopFeedback(rsp, p.sim().now());
-        co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-        SendAction action;
-        action.wire = rsp.takeSerialized();
-        action.dstAddr = src.addr;
-        action.dstConnId = src.connId;
-        action.toUpstream = true;
-        out->push_back(std::move(action));
-        ++shared_.counters.localReplies;
+        co_await sendLocalReply(p, std::move(rsp), src, out);
         *accepted = false;
         co_return;
     }
@@ -261,7 +235,13 @@ sim::Task
 Engine::replyTo(sim::Process &p, const sip::SipMessage &req, int status,
                 MsgSource src, std::vector<SendAction> *out)
 {
-    sip::SipMessage rsp = sip::buildResponse(req, status);
+    return sendLocalReply(p, sip::buildResponse(req, status), src, out);
+}
+
+sim::Task
+Engine::sendLocalReply(sim::Process &p, sip::SipMessage rsp,
+                       MsgSource src, std::vector<SendAction> *out)
+{
     attachHopFeedback(rsp, p.sim().now());
     co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
     SendAction action;
@@ -408,15 +388,7 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
             rsp.addHeader(
                 "Retry-After",
                 std::to_string(cfg_.overload.hop.retryAfterSecs));
-            attachHopFeedback(rsp, p.sim().now());
-            co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-            SendAction action;
-            action.wire = rsp.takeSerialized();
-            action.dstAddr = src.addr;
-            action.dstConnId = src.connId;
-            action.toUpstream = true;
-            out->push_back(std::move(action));
-            ++shared_.counters.localReplies;
+            co_await sendLocalReply(p, std::move(rsp), src, out);
             co_return;
         }
         // Window admits reserve a pending slot; remember to release it
@@ -440,15 +412,7 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
                 rsp.addHeader(
                     "Retry-After",
                     std::to_string(cfg_.overload.retryAfterSecs));
-                attachHopFeedback(rsp, p.sim().now());
-                co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-                SendAction action;
-                action.wire = rsp.takeSerialized();
-                action.dstAddr = src.addr;
-                action.dstConnId = src.connId;
-                action.toUpstream = true;
-                out->push_back(std::move(action));
-                ++shared_.counters.localReplies;
+                co_await sendLocalReply(p, std::move(rsp), src, out);
             }
             co_return;
         }
@@ -542,17 +506,11 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
     // transaction by handing the caller the registered contact.
     if (cfg_.redirect && is_invite) {
         ++shared_.counters.redirects;
-        sip::SipMessage rsp = sip::buildResponse(
-            msg, sip::status::kMovedTemporarily, "", target);
-        attachHopFeedback(rsp, p.sim().now());
-        co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-        SendAction action;
-        action.wire = rsp.takeSerialized();
-        action.dstAddr = src.addr;
-        action.dstConnId = src.connId;
-        action.toUpstream = true;
-        out->push_back(std::move(action));
-        ++shared_.counters.localReplies;
+        co_await sendLocalReply(
+            p,
+            sip::buildResponse(msg, sip::status::kMovedTemporarily, "",
+                               target),
+            src, out);
         co_return;
     }
 

@@ -89,10 +89,6 @@ class Engine
                              MsgSource src,
                              std::vector<SendAction> *out);
 
-    /** Refresh the Via-sent-by alias for TCP connections. */
-    sim::Task refreshAlias(sim::Process &p, const sip::SipMessage &msg,
-                           MsgSource src);
-
     /** Digest authentication gate: challenges or verifies. */
     sim::Task checkAuth(sim::Process &p, const sip::SipMessage &msg,
                         MsgSource src, std::vector<SendAction> *out,
@@ -102,6 +98,15 @@ class Engine
     sim::Task replyTo(sim::Process &p, const sip::SipMessage &req,
                       int status, MsgSource src,
                       std::vector<SendAction> *out);
+
+    /**
+     * Send a locally built response @p rsp back to @p src: attach the
+     * hop-by-hop advertisement, charge the serialization, queue the
+     * upstream SendAction, and count the local reply.
+     */
+    sim::Task sendLocalReply(sim::Process &p, sip::SipMessage rsp,
+                             MsgSource src,
+                             std::vector<SendAction> *out);
 
     /** Piggyback this proxy's hop-by-hop overload advertisement on a
      *  response about to be sent upstream (no-op when the hop scheme
