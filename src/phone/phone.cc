@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "core/arch.hh"
 #include "net/error.hh"
-#include "net/sst.hh"
 #include "sim/pollable.hh"
 #include "sim/simulation.hh"
 #include "sim/trace.hh"
@@ -35,21 +35,10 @@ class Phone::Link
     open(sim::Process &p, bool *ok)
     {
         *ok = true;
-        switch (cfg_.transport) {
-          case core::Transport::Udp:
-            udp_ = &host_.udpBind(cfg_.port);
-            break;
-          case core::Transport::Sctp:
-            sctp_ = &host_.sctpBind(cfg_.port);
-            break;
-          case core::Transport::Sst:
-            sst_ = &host_.sstBind(cfg_.port);
-            break;
-          case core::Transport::Tcp:
-          case core::Transport::Tls:
+        if (core::isStreamTransport(cfg_.transport))
             co_await connect(p, ok);
-            break;
-        }
+        else
+            dgram_ = &core::bindDatagram(host_, cfg_.transport, cfg_.port);
     }
 
     /** Send to the proxy, or (datagram transports only) directly to
@@ -65,25 +54,13 @@ class Phone::Link
             sim::trace::log(p.sim().now(), cfg_.user + " ->",
                             wire.substr(0, eol));
         }
-        net::Addr target = dst.valid() ? dst : cfg_.proxyAddr;
-        switch (cfg_.transport) {
-          case core::Transport::Udp:
-            co_await udp_->sendTo(p, target, std::move(wire));
-            break;
-          case core::Transport::Sctp:
-            co_await sctp_->sendTo(p, target, std::move(wire));
-            break;
-          case core::Transport::Sst:
-            co_await sst_->sendTo(p, target, std::move(wire));
-            break;
-          case core::Transport::Tcp:
-          case core::Transport::Tls:
-            if (!active_) {
-                *ok = false;
-                co_return;
-            }
+        if (dgram_) {
+            co_await dgram_->sendTo(p, dst.valid() ? dst : cfg_.proxyAddr,
+                                    std::move(wire));
+        } else if (active_) {
             co_await active_->conn.send(p, std::move(wire));
-            break;
+        } else {
+            *ok = false;
         }
     }
 
@@ -98,12 +75,8 @@ class Phone::Link
         std::vector<sim::Pollable *> &items = pollItems_;
         while (ready_.empty()) {
             items.clear();
-            if (udp_) {
-                items.push_back(udp_);
-            } else if (sctp_) {
-                items.push_back(sctp_);
-            } else if (sst_) {
-                items.push_back(sst_);
+            if (dgram_) {
+                items.push_back(dgram_);
             } else {
                 if (active_)
                     items.push_back(&active_->conn.readable());
@@ -160,7 +133,7 @@ class Phone::Link
 
     bool hasActiveFlow() const
     {
-        return udp_ || sctp_ || sst_ || active_ != nullptr;
+        return dgram_ || active_ != nullptr;
     }
 
   private:
@@ -193,26 +166,10 @@ class Phone::Link
     sim::Task
     harvest(sim::Process &p)
     {
-        if (udp_) {
+        if (dgram_) {
             net::Datagram d;
-            while (udp_->pollReady()) {
-                co_await udp_->recvFrom(p, d);
-                ready_.push_back(std::move(d.payload));
-            }
-            co_return;
-        }
-        if (sctp_) {
-            net::Datagram d;
-            while (sctp_->pollReady()) {
-                co_await sctp_->recvFrom(p, d);
-                ready_.push_back(std::move(d.payload));
-            }
-            co_return;
-        }
-        if (sst_) {
-            net::Datagram d;
-            while (sst_->pollReady()) {
-                co_await sst_->recvFrom(p, d);
+            while (dgram_->pollReady()) {
+                co_await dgram_->recvFrom(p, d);
                 ready_.push_back(std::move(d.payload));
             }
             co_return;
@@ -255,9 +212,8 @@ class Phone::Link
 
     net::Host &host_;
     const PhoneConfig &cfg_;
-    net::UdpSocket *udp_ = nullptr;
-    net::SctpSocket *sctp_ = nullptr;
-    net::SstSocket *sst_ = nullptr;
+    /** The UDP, SCTP or SST socket; null on stream transports. */
+    net::DatagramSocket *dgram_ = nullptr;
     std::unique_ptr<TcpFlow> active_;
     std::vector<std::unique_ptr<TcpFlow>> zombies_;
     std::deque<std::string> ready_;

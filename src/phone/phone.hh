@@ -22,9 +22,7 @@
 
 #include "core/config.hh"
 #include "net/network.hh"
-#include "net/sctp.hh"
 #include "net/tcp.hh"
-#include "net/udp.hh"
 #include "sim/machine.hh"
 #include "sim/sync.hh"
 #include "sip/builders.hh"
