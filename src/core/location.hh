@@ -107,8 +107,6 @@ class LocationService
         replicas_[user] = std::move(binding);
     }
 
-    std::size_t replicaSize() const { return replicas_.size(); }
-
     // --- pending replication queue (lock() held) ------------------------
     struct Pending
     {
@@ -135,8 +133,6 @@ class LocationService
         pending_.pop_front();
         return true;
     }
-
-    std::size_t pendingSize() const { return pending_.size(); }
 
     sim::SpinLock &lock() { return lock_; }
 

@@ -144,9 +144,6 @@ class OverloadController
     /** Largest of the occupancy signals, in [0, 1+] (telemetry). */
     double occupancySignal() const { return occupancy(); }
 
-    /** Last receive/request queue depth the arch reported. */
-    std::size_t queueDepthSignal() const { return queueDepth_; }
-
     /** Hop-feedback advertisement state (telemetry; downstream role). */
     double hopGrantedRate() const { return hopRate_; }
     int hopGrantedWindow() const { return hopWindow_; }

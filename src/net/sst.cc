@@ -8,22 +8,6 @@
 
 namespace siprox::net {
 
-const char *
-sstStreamStateName(SstStreamState s)
-{
-    switch (s) {
-      case SstStreamState::Open:
-        return "Open";
-      case SstStreamState::HalfClosedLocal:
-        return "HalfClosedLocal";
-      case SstStreamState::HalfClosedRemote:
-        return "HalfClosedRemote";
-      case SstStreamState::Closed:
-        return "Closed";
-    }
-    return "?";
-}
-
 SstSocket::SstSocket(Host &host, std::uint16_t port)
     : DatagramSocket(host, port, "sst recv")
 {

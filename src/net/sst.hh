@@ -45,8 +45,6 @@ enum class SstStreamState
     Closed,           ///< fully torn down (or never existed)
 };
 
-const char *sstStreamStateName(SstStreamState s);
-
 /**
  * Per-stream reassembly: frames arrive in order (per-stream floors
  * guarantee it) and are stitched back into whole messages. The first
@@ -105,9 +103,6 @@ class SstFramer
 
     /** Bytes of the current, incomplete message. */
     std::size_t buffered() const { return buf_.size(); }
-
-    /** Completed messages not yet popped. */
-    std::size_t readyCount() const { return ready_.size() - head_; }
 
   private:
     static constexpr std::size_t kCompactAt = 32;

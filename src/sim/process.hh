@@ -144,7 +144,6 @@ class Process
 
     /** Scheduling priority; lower is more favored (nice -20..19). */
     int nice() const { return nice_; }
-    void setNice(int nice) { nice_ = nice; }
 
     /**
      * Effective (dynamic) priority, Linux 2.6 O(1)-style: processes

@@ -69,17 +69,6 @@ CpuScheduler::wouldYield(const Process *p) const
     return runnable_ > 0;
 }
 
-int
-CpuScheduler::busyCores() const
-{
-    int n = 0;
-    for (const auto &c : cores_) {
-        if (c.running)
-            ++n;
-    }
-    return n;
-}
-
 void
 CpuScheduler::enqueue(Process *p, bool front)
 {

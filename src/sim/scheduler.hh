@@ -66,9 +66,6 @@ class CpuScheduler
     /** Number of processes waiting in the run queue (not on cores). */
     int queued() const { return runnable_; }
 
-    /** Number of cores currently occupied. */
-    int busyCores() const;
-
     /** Total core-busy simulated time, for utilization accounting. */
     SimTime busyTime() const { return busyTime_; }
 

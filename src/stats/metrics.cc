@@ -112,16 +112,6 @@ MetricsRegistry::setCounter(std::string_view name, std::uint64_t v)
 }
 
 void
-MetricsRegistry::addCounter(std::string_view name, std::uint64_t v)
-{
-    auto it = snap_.counters_.find(name);
-    if (it == snap_.counters_.end())
-        snap_.counters_.emplace(std::string(name), v);
-    else
-        it->second += v;
-}
-
-void
 MetricsRegistry::setGauge(std::string_view name, double v)
 {
     auto it = snap_.gauges_.find(name);
@@ -129,22 +119,6 @@ MetricsRegistry::setGauge(std::string_view name, double v)
         snap_.gauges_.emplace(std::string(name), v);
     else
         it->second = v;
-}
-
-void
-MetricsRegistry::recordHistogram(std::string_view name,
-                                 const LatencyHistogram &h)
-{
-    std::string base(name);
-    setCounter(base + ".count", h.count());
-    setGauge(base + ".p50_ms", sim::toMsecs(h.percentile(0.50)));
-    // p95/p999 are newer additions with no digest pinned to them, so
-    // they use the midpoint estimator (half the relative bias).
-    setGauge(base + ".p95_ms", sim::toMsecs(h.percentileMid(0.95)));
-    setGauge(base + ".p99_ms", sim::toMsecs(h.percentile(0.99)));
-    setGauge(base + ".p999_ms", sim::toMsecs(h.percentileMid(0.999)));
-    setGauge(base + ".mean_ms", sim::toMsecs(h.mean()));
-    setGauge(base + ".max_ms", sim::toMsecs(h.max()));
 }
 
 } // namespace siprox::stats

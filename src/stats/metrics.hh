@@ -93,17 +93,8 @@ class MetricsRegistry
     /** Set counter @p name to @p v (absolute). */
     void setCounter(std::string_view name, std::uint64_t v);
 
-    /** Add @p v to counter @p name (created at zero). */
-    void addCounter(std::string_view name, std::uint64_t v);
-
     /** Set gauge @p name to @p v. */
     void setGauge(std::string_view name, double v);
-
-    /** Register @p h under <name>.count/.p50_ms/.p95_ms/.p99_ms/
-     *  .p999_ms/.mean_ms/.max_ms (count as a counter, the rest as
-     *  gauges). */
-    void recordHistogram(std::string_view name,
-                         const LatencyHistogram &h);
 
     MetricsSnapshot snapshot() const { return snap_; }
 

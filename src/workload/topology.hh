@@ -96,11 +96,6 @@ class Topology
      *  every proxy machine, plus the dispatcher machine last. */
     std::vector<sim::Machine *> profiledMachines() const;
 
-    /** The machine whose CPU profile lands in RunResult::serverProfile
-     *  (destination hop; the dispatcher in a cluster is reported via
-     *  telemetry, not the profile). */
-    sim::Machine &profileMachine() { return *serverMachines_.back(); }
-
     /**
      * Pre-seed @p population additional AORs ("u0".."u<n-1>") into the
      * location shards before the simulation runs, owner shard only —
