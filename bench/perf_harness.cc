@@ -1,13 +1,15 @@
 /**
  * @file
- * Wall-clock perf-tracking harness for the proxy's hot paths.
+ * Wall-clock perf-tracking harness for the proxy's hot paths: the
+ * repo's one micro-benchmark harness.
  *
  * Unlike the figure benches (which report *simulated* throughput), this
  * binary measures the library's real cost on the host CPU: ns/op and
- * allocations/op for the SIP parse/serialize/forward micros and the
- * event queue, plus wall-clock seconds and events/sec for a fixed
- * fig3-style scenario. Results land in BENCH_hotpath.json so every PR's
- * numbers are comparable — see docs/performance.md.
+ * allocations/op for the SIP parse/build/serialize/forward, URI,
+ * transaction-key and stream-framer micros and the event queue, plus
+ * wall-clock seconds and events/sec for fixed fig3-style scenarios.
+ * Results land in BENCH_hotpath.json so every change's numbers are
+ * comparable — see docs/performance.md.
  *
  * Allocations are counted by interposing global operator new/delete in
  * this binary only; the library itself is untouched.
@@ -28,6 +30,7 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -36,6 +39,7 @@
 #include "sip/builders.hh"
 #include "sip/parser.hh"
 #include "sip/transaction.hh"
+#include "sip/uri.hh"
 #include "workload/scenario.hh"
 
 // --- counting allocator ----------------------------------------------------
@@ -278,6 +282,18 @@ main(int argc, char **argv)
         if (!r.ok)
             std::abort();
     }));
+    std::string response_wire =
+        buildResponse(built, 200, "totag").serialize();
+    micros.push_back(measure("parse_response", 2 * k, [&] {
+        auto r = parseMessage(response_wire);
+        if (!r.ok)
+            std::abort();
+    }));
+    micros.push_back(measure("build_request", 2 * k, [&] {
+        SipMessage m = sampleInvite();
+        if (!m.isRequest())
+            std::abort();
+    }));
     micros.push_back(measure("serialize_invite", 4 * k, [&] {
         std::string s = built.serialize();
         if (s.empty())
@@ -298,21 +314,40 @@ main(int argc, char **argv)
         if (s.empty())
             std::abort();
     }));
+    micros.push_back(measure("uri_parse", 4 * k, [&] {
+        if (!SipUri::parse("sip:alice@h17:10042;transport=tcp;lr"))
+            std::abort();
+    }));
+    micros.push_back(measure("transaction_key", 4 * k, [&] {
+        auto key = transactionKey(built);
+        if (!key || TransactionKeyHash{}(*key) == 0)
+            std::abort();
+    }));
     {
+        // Reassemble 16 INVITEs fed in TCP-read-sized chunks.
         std::string stream;
         for (int i = 0; i < 16; ++i)
             stream += wire;
-        micros.push_back(measure("framer_512b_chunks", k / 4 + 1, [&] {
-            StreamFramer framer;
-            int messages = 0;
-            for (std::size_t off = 0; off < stream.size(); off += 512) {
-                framer.feed(std::string_view(stream).substr(off, 512));
-                while (auto m = framer.next())
-                    ++messages;
-            }
-            if (messages != 16)
-                std::abort();
-        }));
+        const std::pair<const char *, std::size_t> chunkings[] = {
+            {"framer_64b_chunks", 64},
+            {"framer_512b_chunks", 512},
+            {"framer_4096b_chunks", 4096},
+        };
+        for (const auto &[name, chunk] : chunkings) {
+            micros.push_back(measure(name, k / 4 + 1, [&] {
+                StreamFramer framer;
+                int messages = 0;
+                for (std::size_t off = 0; off < stream.size();
+                     off += chunk) {
+                    framer.feed(
+                        std::string_view(stream).substr(off, chunk));
+                    while (auto m = framer.next())
+                        ++messages;
+                }
+                if (messages != 16)
+                    std::abort();
+            }));
+        }
     }
     {
         // Schedule/run cycles with a 16-byte capture, like a timer.
