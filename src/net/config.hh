@@ -46,11 +46,12 @@ struct NetConfig
 
     // --- batched datagram I/O (recvmmsg/sendmmsg) -----------------------
     /**
-     * Messages moved per simulated datagram syscall. 1 (default)
-     * models the classic one-packet recvfrom/sendto path and keeps
-     * every existing scenario digest byte-identical; >1 lets the
-     * batch-aware receive/send paths amortize the fixed part of the
-     * syscall cost over a burst, the way recvmmsg/sendmmsg do.
+     * Messages moved per simulated datagram syscall. The servers
+     * always receive and send through the batched paths; 1 (default)
+     * makes every batch one packet, the classic recvfrom/sendto
+     * charge, and keeps every batchMax=1 digest byte-identical. >1
+     * amortizes the fixed part of the syscall cost over a burst, the
+     * way recvmmsg/sendmmsg do.
      */
     int batchMax = 1;
     /**
@@ -58,7 +59,7 @@ struct NetConfig
      * fixed syscall crossing (mode switch, fd lookup, cache refill)
      * rather than per-packet work. A batch of n messages costs
      * fixed + n * (cost - fixed) + bytes * perByteCpu, which
-     * degenerates to exactly the unbatched charge at n = 1.
+     * degenerates to exactly the one-packet charge at n = 1.
      */
     double batchFixedShare = 0.6;
 

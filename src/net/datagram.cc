@@ -124,7 +124,7 @@ DatagramSocket::chargeBatched(sim::Process &p, sim::SimTime per_msg_cost,
     if (fixed > per_msg_cost)
         fixed = per_msg_cost;
     // fixed + marginal == per_msg_cost by construction, so a batch of
-    // one charges exactly the legacy per-message cost.
+    // one charges exactly the one-message recvfrom/sendto cost.
     sim::SimTime marginal = per_msg_cost - fixed;
     co_await p.cpu(fixed
                        + static_cast<sim::SimTime>(msgs) * marginal

@@ -107,8 +107,8 @@ struct SpanCtx
     /** Short description ("INVITE", "rsp 200", "timeout 408"...). */
     std::string label;
     std::string callId;
-    /** When the message was drained as part of a batched dequeue
-     *  (recvmmsg model), the batch's size; 0 for unbatched spans. The
+    /** When the message was drained in a batch of more than one
+     *  (recvmmsg model), the batch's size; 0 otherwise. The
      *  export attributes it as a "batched" arg, not a Wait bucket, so
      *  the exact-sum invariant is untouched. */
     std::uint32_t batchDepth = 0;
