@@ -50,8 +50,6 @@ class WorkerLoop
     WorkerLoop(const WorkerLoop &) = delete;
     WorkerLoop &operator=(const WorkerLoop &) = delete;
 
-    Engine &engine() { return engine_; }
-
     /** Trace one received stream chunk, labeled by connection. */
     static void
     traceRxConn(sim::Process &p, std::uint64_t conn_id,
