@@ -333,8 +333,9 @@ main(int argc, char **argv)
             {"framer_512b_chunks", 512},
             {"framer_4096b_chunks", 4096},
         };
-        for (const auto &[name, chunk] : chunkings) {
-            micros.push_back(measure(name, k / 4 + 1, [&] {
+        for (const auto &chunking : chunkings) {
+            const std::size_t chunk = chunking.second;
+            micros.push_back(measure(chunking.first, k / 4 + 1, [&] {
                 StreamFramer framer;
                 int messages = 0;
                 for (std::size_t off = 0; off < stream.size();
